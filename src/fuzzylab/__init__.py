@@ -24,7 +24,7 @@ from .fock import (FockBasis, FockMatrix, NCState, WeightedInnerProduct,
                    coordinate_matrix, enumerate_basis, inner_product,
                    interior_projection, ladder_matrix, radial_matrix,
                    random_state, state_from_text, state_to_text)
-from .operators import RadialFunction, Space, SuperOp, lambda_derivative
+from .operators import RadialFunction, Space, SuperOp
 from .algebra import (AlgebraExpr, aL, aL_dag, aR, aR_dag, coeff,
                       commutator_symbolic, expr_from_text, expr_to_text,
                       normal_order, one, to_superop)
@@ -43,7 +43,7 @@ __all__ = [
     "enumerate_basis", "ladder_matrix", "coordinate_matrix", "radial_matrix",
     "inner_product", "random_state", "interior_projection",
     "state_to_text", "state_from_text",
-    "RadialFunction", "Space", "SuperOp", "lambda_derivative",
+    "RadialFunction", "Space", "SuperOp",
     "AlgebraExpr", "aL", "aL_dag", "aR", "aR_dag", "coeff", "one",
     "normal_order", "commutator_symbolic", "expr_to_text", "expr_from_text",
     "to_superop", "IDENTITY_NAMES", "check_identity", "cross_validate",

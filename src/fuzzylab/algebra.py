@@ -240,9 +240,6 @@ class AlgebraExpr:
             return (len(w), tuple(_gen_key(g) for g in w))
         return sorted(self.terms.items(), key=key)
 
-    def map_coeff(self, fn: Callable[[sympy.Expr], sympy.Expr]) -> "AlgebraExpr":
-        return AlgebraExpr(terms={w: fn(c) for w, c in self.terms.items()})
-
     def __str__(self) -> str:
         return expr_to_text(self)
 

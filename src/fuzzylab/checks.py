@@ -18,14 +18,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock import EPS3, NCState
+from .fock import EPS3, NCState, _absmax
 from .operators import RadialFunction, Space, SuperOp
 from .report import CheckRecord, VerificationReport
 from . import identities as idn
 from . import spectra as spc
 
 __all__ = ["CheckConfig", "CHECK_IDS", "SUITES", "run_suite",
-           "parse_config_text", "POTENTIALS"]
+           "parse_config_text", "POTENTIALS", "potential_fn"]
 
 _TINY = 1e-300
 
@@ -36,6 +36,16 @@ POTENTIALS: Dict[str, Callable[[float], float]] = {
     "r2": lambda r: r * r,
     "exp": lambda r: float(np.exp(-r)),
 }
+
+
+def potential_fn(name: str, q: float = 1.0) -> Optional[Callable[[float], float]]:
+    """The central potential q U(r) named ``name``; None for "free"."""
+    if name not in POTENTIALS:
+        raise ValueError(f"unknown potential {name!r} (have {sorted(POTENTIALS)})")
+    if name == "free":
+        return None
+    base = POTENTIALS[name]
+    return lambda r: q * base(r)
 
 
 @dataclass
@@ -199,13 +209,6 @@ class CheckSpec:
     per_space: bool = True  # False: runs once, independent of (lam, n_max) grid
 
 
-def _matrix_absmax(m) -> float:
-    import scipy.sparse as sp
-    if sp.issparse(m):
-        return 0.0 if m.nnz == 0 else float(np.abs(m.data).max())
-    return float(np.abs(m).max())
-
-
 # ---- kinematics (matrix level + L/X families) -------------------------------
 
 
@@ -218,7 +221,7 @@ def _run_coordinate_algebra(space: Space, config: CheckConfig):
             for k in range(3):
                 if EPS3[i, j, k]:
                     acc = acc - 2.0j * lam * EPS3[i, j, k] * x[k]
-            worst = max(worst, _matrix_absmax(acc))
+            worst = max(worst, _absmax(acc))
     return worst, "max over all index pairs, full truncated space"
 
 
@@ -231,7 +234,7 @@ def _run_x_square(space: Space, config: CheckConfig):
         acc = t if acc is None else acc + t
     rsq = space.r @ space.r
     eye = sp.identity(space.basis.dim, dtype=complex, format="csr")
-    return _matrix_absmax(acc - rsq + lam**2 * eye), ""
+    return _absmax(acc - rsq + lam**2 * eye), ""
 
 
 def _run_ladder_algebra(space: Space, config: CheckConfig):
@@ -245,10 +248,10 @@ def _run_ladder_algebra(space: Space, config: CheckConfig):
         for be in range(2):
             comm = space.a[al] @ space.ad[be] - space.ad[be] @ space.a[al]
             delta = eye if al == be else 0.0 * eye
-            worst = max(worst, _matrix_absmax(proj @ (comm - delta) @ proj))
-            worst = max(worst, _matrix_absmax(
+            worst = max(worst, _absmax(proj @ (comm - delta) @ proj))
+            worst = max(worst, _absmax(
                 space.a[al] @ space.a[be] - space.a[be] @ space.a[al]))
-            worst = max(worst, _matrix_absmax(
+            worst = max(worst, _absmax(
                 space.ad[al] @ space.ad[be] - space.ad[be] @ space.ad[al]))
     return worst, "commutator relations, interior shells for [a, a+]"
 
@@ -256,7 +259,7 @@ def _run_ladder_algebra(space: Space, config: CheckConfig):
 def _run_radial_scalar(space: Space, config: CheckConfig):
     worst = 0.0
     for xi in space.x:
-        worst = max(worst, _matrix_absmax(xi @ space.r - space.r @ xi))
+        worst = max(worst, _absmax(xi @ space.r - space.r @ xi))
     margin = _margin(config, 0)
     states = _states(space, config, margin)
     cache = _OpCache()
@@ -791,11 +794,17 @@ def _run_v2_consistency(space: Space, config: CheckConfig):
     return worst, "sector V^2 eigen-action matches 2E - lam^2 E^2 (interior rows)"
 
 
+def _config_potential(space: Space, config: CheckConfig) -> Optional[RadialFunction]:
+    fn = potential_fn(config.potential, config.potential_q)
+    if fn is None:
+        return None
+    return RadialFunction.from_callable(fn, space.lam, space.n_max,
+                                        name=config.potential)
+
+
 def _run_m_independence(space: Space, config: CheckConfig):
     worst = 0.0
-    pot = RadialFunction.from_callable(POTENTIALS[config.potential], space.lam,
-                                       space.n_max, name=config.potential) \
-        if config.potential != "free" else None
+    pot = _config_potential(space, config)
     for j in (1, 2):
         if j > space.n_max - 1:
             continue
@@ -811,12 +820,8 @@ def _run_m_independence(space: Space, config: CheckConfig):
 
 def _run_brute_force(space: Space, config: CheckConfig):
     if space.n_max > 6:
-        return 0.0, "skipped (brute-force equivalence runs at n_max <= 6)"
-    pot = None
-    if config.potential != "free":
-        pot = RadialFunction.from_callable(POTENTIALS[config.potential],
-                                           space.lam, space.n_max,
-                                           name=config.potential)
+        space = Space(6, space.lam)
+    pot = _config_potential(space, config)
     full = np.sort(spc.full_kappa0_spectrum(space, pot))
     union: List[float] = []
     for j in range(0, space.n_max + 1):
@@ -827,7 +832,8 @@ def _run_brute_force(space: Space, config: CheckConfig):
         return 1.0, f"state count mismatch {len(union_arr)} vs {len(full)}"
     scale = max(np.abs(full).max(), _TINY)
     return float(np.abs(full - union_arr).max() / scale), \
-        "full kappa=0 spectrum equals sector union with multiplicity 2j+1"
+        ("full kappa=0 spectrum equals sector union with multiplicity 2j+1 "
+         f"(n_max {space.n_max})")
 
 
 def _run_comm_limit(space: Space, config: CheckConfig):
@@ -1066,6 +1072,7 @@ def run_suite(config: CheckConfig) -> VerificationReport:
     unknown = wanted - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites {sorted(unknown)}; have {SUITES}")
+    potential_fn(config.potential)  # an unknown name fails before any check runs
     report = VerificationReport(config=config.as_dict())
     for check in CHECKS:
         if check.suite not in wanted:

@@ -21,24 +21,12 @@ from typing import List, Optional
 
 
 from . import __version__
-from .checks import (CheckConfig, POTENTIALS, SUITES, parse_config_text,
+from .checks import (CheckConfig, SUITES, parse_config_text, potential_fn,
                      run_suite)
 from .operators import RadialFunction, Space
 from .report import emit_report
 from . import identities as idn
 from . import spectra as spc
-
-
-def _potential_fn(name: str, q: float):
-    if name == "free":
-        return None
-    if name not in POTENTIALS:
-        raise SystemExit(f"error: unknown potential {name!r} "
-                         f"(have {sorted(POTENTIALS)})")
-    base = POTENTIALS[name]
-    if name == "coulomb":
-        return lambda r: -q / r
-    return base
 
 
 def _parse_schedule(text: str) -> List[tuple]:
@@ -213,7 +201,11 @@ def _cmd_spectrum(args) -> int:
         print("error: --nmax needs one value, or one per --lambda entry",
               file=sys.stderr)
         return 2
-    fn = _potential_fn(args.potential, args.q)
+    try:
+        fn = potential_fn(args.potential, args.q)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     fmt = args.fmt or "json"
     wrote = []
     for lam, n_max in zip(lams, n_maxes):
@@ -268,7 +260,11 @@ def _cmd_converge(args) -> int:
         print("error: pass an integer j", file=sys.stderr)
         return 2
     schedule = _parse_schedule(args.schedule)
-    fn = _potential_fn(args.potential, args.q)
+    try:
+        fn = potential_fn(args.potential, args.q)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     records = spc.convergence_study(schedule, int(args.j), fn,
                                     args.potential, levels=args.levels)
     lines = ["lam,n_max,j,level,E_nc,E_oracle,gap"]

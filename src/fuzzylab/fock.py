@@ -100,10 +100,6 @@ class FockMatrix:
     matrix: sp.csr_matrix
     tag: str = ""
 
-    def dagger(self) -> "FockMatrix":
-        return FockMatrix(self.basis, self.matrix.conj().T.tocsr(),
-                          tag=self.tag + "+" if self.tag else "")
-
 
 def ladder_matrix(basis: FockBasis, mode: int, dagger: bool = False) -> FockMatrix:
     """Annihilation (or creation) matrix for mode 1 or 2.
@@ -177,9 +173,6 @@ class NCState:
 
     basis: FockBasis
     matrix: Matrix
-
-    def copy(self) -> "NCState":
-        return NCState(self.basis, self.matrix.copy())
 
     def dense(self) -> np.ndarray:
         if sp.issparse(self.matrix):

@@ -28,7 +28,7 @@ from .fock import (EPS3, PAULI, FockBasis, NCState, WeightedInnerProduct,
                    coordinate_matrix, enumerate_basis, interior_projection,
                    ladder_matrix, radial_matrix, random_state)
 
-__all__ = ["SuperOp", "RadialFunction", "Space", "lambda_derivative"]
+__all__ = ["SuperOp", "RadialFunction", "Space"]
 
 
 @dataclass
@@ -128,11 +128,6 @@ class RadialFunction:
                               boundary_flags=(0, self.n_max))
 
 
-def lambda_derivative(f: RadialFunction, order: int = 1) -> RadialFunction:
-    """Module-level alias for :meth:`RadialFunction.lambda_derivative`."""
-    return f.lambda_derivative(order)
-
-
 def _sigma_pairs(j: int):
     """Nonzero entries of sigma_j as ((alpha, beta), value), 0-based."""
     sig = PAULI[j]
@@ -181,9 +176,6 @@ class Space:
                                                format="csr"))
 
     # -- bandwidth-0 generators -------------------------------------------
-
-    def identity_op(self) -> SuperOp:
-        return SuperOp(self.basis, lambda m: m, 0, name="1")
 
     def angular_momentum(self, k: int) -> SuperOp:
         """L_k psi = [x_k, psi] / (2 lam)."""

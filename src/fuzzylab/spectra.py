@@ -8,8 +8,10 @@ States of sharp angular momentum are built from monomials of total degree
 
 summed over m1 + m2 = n1 + n2 = j and (m1 - m2) - (n1 - n2) = 2m; the state
 lives on the total shell N = n + j.  Only integer j occurs for charge-zero
-states.  Reducing H = H0 + U(r) to such a sector through the weighted inner
-product gives a hermitian tridiagonal radial matrix.
+states.  A sector's shells must be distinct, so its states have disjoint
+support and a diagonal Gram matrix; reducing a superoperator computes only
+the entries within its declared shell bandwidth (the rest vanish exactly),
+and H = H0 + U(r) reduces to a hermitian tridiagonal radial matrix.
 
 Two walls are available.  ``boundary="hard"`` keeps every shell of the
 truncated arena, which is the cutoff itself (a+ annihilates the top shell)
@@ -131,29 +133,31 @@ def build_sector(space: Space, j: int, m: int, boundary: str = "hard") -> Angula
 
 
 def _gram_inverse_sqrt(space: Space, sector: AngularSector) -> np.ndarray:
-    d = sector.dim
-    g = np.empty((d, d), dtype=complex)
-    for b, sb in enumerate(sector.states):
-        for a in range(d):
-            g[a, b] = space.ip(sector.states[a], sb)
-    g = 0.5 * (g + g.conj().T)
-    evals, evecs = np.linalg.eigh(g)
-    if evals.min() <= 0 or evals.max() / evals.min() > GRAM_CONDITION_LIMIT:
+    """Diagonal of G^-1/2; G is diagonal because the shells are distinct."""
+    if np.any(np.diff(sector.shells) <= 0):
+        raise ValueError("sector shells must be strictly ascending for a "
+                         "diagonal Gram matrix")
+    g = np.array([space.ip(s, s).real for s in sector.states])
+    if g.min() <= 0 or g.max() / g.min() > GRAM_CONDITION_LIMIT:
         raise ValueError("ill-conditioned sector Gram matrix "
-                         f"(cond ~ {evals.max() / max(evals.min(), 1e-300):.2e})")
-    return (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
+                         f"(cond ~ {g.max() / max(g.min(), 1e-300):.2e})")
+    return 1.0 / np.sqrt(g)
 
 
 def reduce_superop(space: Space, sector: AngularSector, op: SuperOp) -> np.ndarray:
-    """Matrix of a sector-preserving superoperator in the orthonormal radial basis."""
-    d = sector.dim
-    raw = np.empty((d, d), dtype=complex)
+    """Matrix of a sector-preserving superoperator in the orthonormal radial basis.
+
+    Only entries with |a - b| <= ``op.bandwidth`` are computed; the others
+    pair states on shells further apart than the operator reaches.
+    """
+    d, w = sector.dim, op.bandwidth
+    ginv = _gram_inverse_sqrt(space, sector)
+    out = np.zeros((d, d), dtype=complex)
     for b, sb in enumerate(sector.states):
         u = op(sb)
-        for a in range(d):
-            raw[a, b] = space.ip(sector.states[a], u)
-    ginv = _gram_inverse_sqrt(space, sector)
-    return ginv @ raw @ ginv
+        for a in range(max(b - w, 0), min(b + w + 1, d)):
+            out[a, b] = ginv[a] * space.ip(sector.states[a], u) * ginv[b]
+    return out
 
 
 def reduce_hamiltonian(space: Space, sector: AngularSector,
@@ -191,10 +195,11 @@ def eigen_solve(matrix: np.ndarray, residual_tol: float = 1e-8) -> tuple:
     """Ascending eigensystem of a hermitian matrix with a residual guard."""
     evals, evecs = np.linalg.eigh(matrix)
     scale = max(np.abs(matrix).max(), 1.0)
-    for k in range(len(evals)):
-        res = np.abs(matrix @ evecs[:, k] - evals[k] * evecs[:, k]).max()
-        if res > residual_tol * scale:
-            raise ValueError(f"eigenpair {k} residual {res:.2e} exceeds tolerance")
+    res = np.abs(matrix @ evecs - evecs * evals).max(axis=0)
+    bad = np.flatnonzero(res > residual_tol * scale)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"eigenpair {k} residual {res[k]:.2e} exceeds tolerance")
     return evals, evecs
 
 
@@ -245,21 +250,14 @@ def full_kappa0_spectrum(space: Space,
     if basis.n_max > 8:
         raise ValueError("brute-force solve is meant for n_max <= 8")
     shells = basis.shells
-    pairs = [(i, k) for i in range(basis.dim) for k in range(basis.dim)
-             if shells[i] == shells[k]]
-    dim = len(pairs)
-    pos = {p: t for t, p in enumerate(pairs)}
+    rows, cols = np.nonzero(shells[:, None] == shells[None, :])
     h = space.hamiltonian(potential)
-    big = np.zeros((dim, dim), dtype=complex)
-    for col, (i, k) in enumerate(pairs):
+    big = np.zeros((len(rows), len(rows)), dtype=complex)
+    for col, (i, k) in enumerate(zip(rows, cols)):
         e = np.zeros((basis.dim, basis.dim), dtype=complex)
         e[i, k] = 1.0
-        u = h.func(e)
-        u = u.toarray() if sp.issparse(u) else u
-        for (i2, k2), row in pos.items():
-            if u[i2, k2] != 0:
-                big[row, col] = u[i2, k2]
-    weights = np.sqrt(space.r_diag[[i for (i, _k) in pairs]])
+        big[:, col] = h.func(e)[rows, cols]
+    weights = np.sqrt(space.r_diag[rows])
     symm = (weights[:, None] * big) / weights[None, :]
     symm = 0.5 * (symm + symm.conj().T)
     return np.linalg.eigvalsh(symm)

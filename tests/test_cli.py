@@ -1,11 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fuzzylab import checks
 from fuzzylab.checks import (CheckConfig, POTENTIALS, SUITES,
-                             parse_config_text, run_suite)
+                             parse_config_text, potential_fn, run_suite)
 from fuzzylab.cli import main
+from fuzzylab.operators import Space
 from fuzzylab.report import (CheckRecord, VerificationReport, emit_report,
                              report_from_json)
 
@@ -184,3 +187,43 @@ def test_potentials_registry():
     assert set(POTENTIALS) >= {"free", "coulomb", "r2", "exp"}
     assert POTENTIALS["coulomb"](2.0) == -0.5
     assert "diagnostic" in SUITES
+
+
+def test_potential_fn_scales_by_q():
+    assert potential_fn("free", 3.0) is None
+    assert potential_fn("coulomb", 2.0)(4.0) == -0.5
+    assert potential_fn("r2", 3.0)(2.0) == 12.0
+    assert potential_fn("exp", 0.5)(1.0) == 0.5 * POTENTIALS["exp"](1.0)
+    with pytest.raises(ValueError, match="unknown potential"):
+        potential_fn("bogus", 1.0)
+
+
+def test_check_potential_honors_q():
+    space = Space(6, 0.5)
+    cfg = small_config(potential="r2", potential_q=2.0)
+    pot = checks._config_potential(space, cfg)
+    r = space.lam * (np.arange(space.n_max + 1) + 1.0)
+    assert np.array_equal(pot.values, 2.0 * r * r)
+
+
+def test_run_suite_rejects_unknown_potential():
+    with pytest.raises(ValueError, match="unknown potential"):
+        run_suite(small_config(potential="bogus"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "kinematics", "--lambda", "0.5", "--nmax", "6",
+     "--potential", "bogus"],
+    ["spectrum", "--lambda", "0.5", "--nmax", "8", "--potential", "bogus"],
+    ["converge", "--schedule", "0.8:9", "--potential", "bogus"],
+])
+def test_cli_rejects_unknown_potential(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bogus" in err
+
+
+def test_brute_force_check_measures_above_nmax_6():
+    residual, detail = checks._run_brute_force(Space(8, 0.5), CheckConfig())
+    assert np.isfinite(residual) and residual <= 1e-8
+    assert "skipped" not in detail and "n_max 6" in detail

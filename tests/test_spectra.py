@@ -219,3 +219,41 @@ def test_spectrum_result_rows(space):
     assert len(rows) == len(res.eigenvalues)
     assert rows[0]["potential"] == "free"
     assert rows[3]["level"] == 3
+
+
+def _reference_reduce(space, sector, op):
+    """The reduction without structure: all d^2 inner products, then the
+    full-Gram G^-1/2 raw G^-1/2 through an eigendecomposition of G."""
+    states = sector.states
+    images = [op(s) for s in states]
+    raw = np.array([[space.ip(sa, u) for u in images] for sa in states])
+    g = np.array([[space.ip(sa, sb) for sb in states] for sa in states])
+    evals, evecs = np.linalg.eigh(0.5 * (g + g.conj().T))
+    ginv = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    return ginv @ raw @ ginv
+
+
+@pytest.mark.parametrize("n_max, lam", [(8, 0.5), (12, 0.3)])
+def test_banded_reduction_matches_full_reference(n_max, lam):
+    space = Space(n_max, lam)
+    coulomb = RadialFunction.from_callable(lambda r: -1.0 / r, lam, n_max,
+                                           name="coulomb")
+    v2 = None
+    for k in (1, 2, 3):
+        t = space.velocity(k) @ space.velocity(k)
+        v2 = t if v2 is None else v2 + t
+    ops = [space.free_hamiltonian(), space.hamiltonian(coulomb), v2]
+    for op in ops:
+        for j in (0, 1, 2):
+            for boundary in ("hard", "dirichlet"):
+                sector = spc.build_sector(space, j, 0, boundary=boundary)
+                # rescaled states make the Gram factors differ from 1
+                scaled = spc.AngularSector(
+                    j=j, m=0, lam=lam, boundary=boundary,
+                    states=[s * (a + 1.0) for a, s in enumerate(sector.states)],
+                    shells=sector.shells)
+                for sec in (sector, scaled):
+                    got = spc.reduce_superop(space, sec, op)
+                    want = _reference_reduce(space, sec, op)
+                    err = np.abs(got - want).max() / np.abs(want).max()
+                    assert err <= 1e-13, (op.name, j, boundary, err)
