@@ -27,6 +27,7 @@ On charge-zero states the left and right radii agree block-wise;
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -63,18 +64,13 @@ def _gen_key(g: Gen):
 def _same_family_swap(g1: Gen, g2: Gen):
     """Rewrite g1 g2 -> g2 g1 (+ delta term sign) when both need reordering.
 
-    Returns (delta_sign or None).  Only an undaggered generator moving right
-    past a daggered one of the same family produces a delta: +1 for the left
-    family, -1 for the right family (same modes only).
+    Returns the delta sign, 0 for none.  Only an undaggered generator moving
+    right past a daggered one of the same family produces a delta: +1 for the
+    left family, -1 for the right family (same modes only).
     """
-    fam1, dag1, mode1 = g1
-    fam2, dag2, mode2 = g2
-    if fam1 != fam2:
-        return None
-    if (not dag1) and dag2:
-        if mode1 == mode2:
-            return 1 if fam1 == "a" else -1
-        return 0
+    (fam1, dag1, mode1), (fam2, dag2, mode2) = g1, g2
+    if fam1 == fam2 and mode1 == mode2 and not dag1 and dag2:
+        return 1 if fam1 == "a" else -1
     return 0
 
 
@@ -88,10 +84,23 @@ def _shift_coeff(c: sympy.Expr, word: Tuple[Gen, ...]) -> sympy.Expr:
             db += 1 if dag else -1
     if da == 0 and db == 0:
         return c
+    return _shifted(c, da, db)
+
+
+# Coefficient rewrites are pure functions of the sympy expression, and the
+# proofs meet the same few dozen coefficients hundreds of times.
+@functools.lru_cache(maxsize=None)
+def _shifted(c: sympy.Expr, da: int, db: int) -> sympy.Expr:
     return c.subs({R: R + LAM * da, RR: RR + LAM * db}, simultaneous=True)
 
 
+@functools.lru_cache(maxsize=None)
 def _canonical_coeff(c: sympy.Expr) -> sympy.Expr:
+    """Reduced fraction of expanded polynomials over the Gaussian rationals.
+
+    The generators ``r``, ``r_R``, ``lam`` and the ``U(...)`` atoms are
+    algebraically independent, so the result is 0 exactly when ``c`` is.
+    """
     c = sympy.expand(c)
     if c == 0:
         return sympy.S.Zero
@@ -100,13 +109,6 @@ def _canonical_coeff(c: sympy.Expr) -> sympy.Expr:
     except sympy.PolynomialError:
         c = sympy.simplify(c)
     return c
-
-
-def _coeff_is_zero(c: sympy.Expr) -> bool:
-    c = _canonical_coeff(c)
-    if c == 0:
-        return True
-    return sympy.simplify(c) == 0
 
 
 @dataclass
@@ -169,7 +171,8 @@ class AlgebraExpr:
     def normal(self) -> "AlgebraExpr":
         """Canonical form: per family daggered-left, modes ascending, left
         family before right family, diagonal mode-2 pairs eliminated, like
-        terms merged with canonical rational coefficients."""
+        terms merged with canonical rational coefficients; a term survives
+        iff its canonical coefficient is not the zero expression."""
         if self.is_normal:
             return self
         out: Dict[Tuple[Gen, ...], sympy.Expr] = {}
@@ -190,19 +193,10 @@ class AlgebraExpr:
             if reduced is not None:
                 work.extend(reduced)
                 continue
-            if w in out:
-                out[w] = out[w] + c
-            else:
-                out[w] = c
-        clean = {}
-        for w, c in out.items():
-            c = _canonical_coeff(c)
-            if c != 0 and not _coeff_is_zero(c):
-                clean[w] = c
-        return AlgebraExpr(terms=clean, is_normal=True)
-
-    def is_zero(self) -> bool:
-        return not self.normal().terms
+            out[w] = out[w] + c if w in out else c
+        clean = {w: _canonical_coeff(c) for w, c in out.items()}
+        return AlgebraExpr(terms={w: c for w, c in clean.items() if c != 0},
+                           is_normal=True)
 
     # -- charge bookkeeping --------------------------------------------------
 

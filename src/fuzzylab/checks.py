@@ -146,9 +146,26 @@ def parse_config_text(text: str) -> CheckConfig:
 def _margin(config: CheckConfig, auto: int) -> int:
     if config.margin == "auto":
         return auto
-    if config.margin.startswith("fixed:"):
-        return int(config.margin.split(":", 1)[1])
-    raise ValueError(f"bad margin policy {config.margin!r}")
+    k = config.margin[len("fixed:"):]
+    if config.margin.startswith("fixed:") and k.isdigit():
+        return int(k)
+    raise ValueError(f"bad margin policy {config.margin!r} "
+                     "(want auto or fixed:k with an integer k >= 0)")
+
+
+def _validate_config(config: CheckConfig) -> None:
+    """Raise ValueError for a config that no check can run on."""
+    if not config.lams or not all(lam > 0 for lam in config.lams):
+        raise ValueError(f"every lambda must be positive; got {config.lams}")
+    if not config.n_maxes or min(config.n_maxes) < 1:
+        raise ValueError(f"every n_max must be >= 1; got {config.n_maxes}")
+    if config.n_states < 1:
+        raise ValueError(f"states must be >= 1; got {config.n_states}")
+    _margin(config, 0)  # raises on a bad margin policy
+    unknown = set(config.suites) - set(SUITES) - {"all"}
+    if unknown:
+        raise ValueError(f"unknown suites {sorted(unknown)}; have {SUITES}")
+    potential_fn(config.potential)
 
 
 def _states(space: Space, config: CheckConfig, margin: int,
@@ -894,21 +911,21 @@ def _run_coulomb_oracle(space: Space, config: CheckConfig):
 
 
 def _run_symbolic_proofs(space: Space, config: CheckConfig):
-    bad = []
+    """Surviving residual terms plus failed intermediates over all proofs."""
+    bad, count = [], 0
     for name in idn.IDENTITY_NAMES:
         res = idn.check_identity(name)
+        count += sum(len(r.terms) for r in res.residuals.values())
+        count += sum(not flag for _label, _text, flag in res.intermediates)
         if not res.ok:
             bad.append(name)
-    return (0.0 if not bad else 1.0), \
-        ("all identities reduce to the zero normal form" if not bad
-         else f"failed: {bad}")
+    return float(count), ("all identities reduce to the zero normal form"
+                          if not bad else f"failed: {bad}")
 
 
 def _run_pauli_lemmas(space: Space, config: CheckConfig):
-    a = idn.anticommutator_residual()
-    f = idn.fierz_residual()
-    ok = (a == 0) and (f == 0)
-    return (0.0 if ok else 1.0), "anticommutator, trace and Fierz identities exact"
+    residual = idn.anticommutator_residual() + idn.fierz_residual()
+    return float(residual), "anticommutator, trace and Fierz identities exact"
 
 
 def _run_cross_validation(space: Space, config: CheckConfig):
@@ -1065,14 +1082,13 @@ SUITES = tuple(sorted({c.suite for c in CHECKS}))
 
 
 def run_suite(config: CheckConfig) -> VerificationReport:
-    """Execute the configured suites over the (lam, n_max) grid."""
-    wanted = set(config.suites)
-    if "all" in wanted:
-        wanted = set(SUITES)
-    unknown = wanted - set(SUITES)
-    if unknown:
-        raise ValueError(f"unknown suites {sorted(unknown)}; have {SUITES}")
-    potential_fn(config.potential)  # an unknown name fails before any check runs
+    """Execute the configured suites over the (lam, n_max) grid.
+
+    A bad config raises ValueError before any check runs; a ValueError
+    inside a check fails that check's record.
+    """
+    _validate_config(config)
+    wanted = set(SUITES) if "all" in config.suites else set(config.suites)
     report = VerificationReport(config=config.as_dict())
     for check in CHECKS:
         if check.suite not in wanted:
@@ -1094,7 +1110,7 @@ def run_suite(config: CheckConfig) -> VerificationReport:
                 else:
                     passed = residual <= tol
             except ValueError as exc:
-                residual, detail, passed = float("nan"), f"skipped: {exc}", True
+                residual, detail, passed = float("nan"), f"error: {exc}", False
             ms = (time.perf_counter() - t0) * 1e3
             report.records.append(CheckRecord(
                 check_id=check.check_id, suite=check.suite,

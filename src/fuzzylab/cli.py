@@ -30,11 +30,31 @@ from . import spectra as spc
 
 
 def _parse_schedule(text: str) -> List[tuple]:
-    out = []
-    for item in text.split(","):
-        lam_s, n_s = item.split(":")
-        out.append((float(lam_s), int(n_s)))
-    return out
+    try:
+        return [(float(lam), int(n))
+                for lam, n in (item.split(":") for item in text.split(","))]
+    except ValueError:
+        msg = f"bad schedule {text!r}; want lam:n_max[,lam:n_max...]"
+        raise ValueError(msg) from None
+
+
+def _check_points(points, j: float, boundary: str = "dirichlet") -> int:
+    """Reject (lambda, n_max) points the j sector cannot be solved on;
+    return j as an integer."""
+    if not float(j).is_integer():
+        raise ValueError(f"j={j!r} is not an integer; half-integer j belongs "
+                         "to charged (kappa != 0) sectors, which are out of scope")
+    j = int(j)
+    if j < 0:
+        raise ValueError(f"j must be >= 0; got {j}")
+    need = j if boundary == "hard" else j + 1
+    for lam, n_max in points:
+        if not lam > 0:
+            raise ValueError(f"lambda must be positive; got {lam!r}")
+        if n_max < need:
+            raise ValueError(f"j={j} with the {boundary} boundary needs "
+                             f"n_max >= {need}; got {n_max}")
+    return j
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -188,20 +208,14 @@ def _spectrum_payload(result: spc.SpectrumResult) -> dict:
 
 
 def _cmd_spectrum(args) -> int:
-    if float(args.j) != int(args.j):
-        print("error: half-integer j belongs to charged (kappa != 0) sectors, "
-              "which are out of scope; pass an integer j", file=sys.stderr)
-        return 2
-    j = int(args.j)
-    lams = [float(v) for v in (args.lam or "0.2").split(",")]
-    n_maxes = [int(v) for v in (args.nmax or "19").split(",")]
-    if len(n_maxes) == 1:
-        n_maxes = n_maxes * len(lams)
-    if len(n_maxes) != len(lams):
-        print("error: --nmax needs one value, or one per --lambda entry",
-              file=sys.stderr)
-        return 2
     try:
+        lams = [float(v) for v in (args.lam or "0.2").split(",")]
+        n_maxes = [int(v) for v in (args.nmax or "19").split(",")]
+        if len(n_maxes) == 1:
+            n_maxes = n_maxes * len(lams)
+        if len(n_maxes) != len(lams):
+            raise ValueError("--nmax needs one value, or one per --lambda entry")
+        j = _check_points(zip(lams, n_maxes), args.j, args.boundary)
         fn = potential_fn(args.potential, args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -256,16 +270,14 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    if float(args.j) != int(args.j):
-        print("error: pass an integer j", file=sys.stderr)
-        return 2
-    schedule = _parse_schedule(args.schedule)
     try:
+        schedule = _parse_schedule(args.schedule)
+        j = _check_points(schedule, args.j)
         fn = potential_fn(args.potential, args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = spc.convergence_study(schedule, int(args.j), fn,
+    records = spc.convergence_study(schedule, j, fn,
                                     args.potential, levels=args.levels)
     lines = ["lam,n_max,j,level,E_nc,E_oracle,gap"]
     for rec in records:

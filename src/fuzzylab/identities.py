@@ -17,11 +17,12 @@ import sympy
 from sympy import I as sI
 from sympy import Rational
 
+from .fock import EPS3
 from .algebra import (LAM, R, UFUN, AlgebraExpr, aL, aL_dag, aR, aR_dag,
                       coeff, expr_to_text, one, to_superop)
 
 __all__ = [
-    "PAULI_SYM", "EPS4",
+    "PAULI_SYM",
     "pauli_entry", "fierz_residual", "anticommutator_residual",
     "x_left", "position_op", "angular_momentum_op", "w_op", "velocity_op",
     "h0_zeta", "h0_raw", "velocity4_op", "w_vector_op",
@@ -36,28 +37,10 @@ PAULI_SYM = (
     ((sympy.S.One, sympy.S.Zero), (sympy.S.Zero, -sympy.S.One)),
 )
 
-_EPS3 = {}
-for _p, _s in ((((1, 2, 3)), 1), ((2, 3, 1), 1), ((3, 1, 2), 1),
-               ((3, 2, 1), -1), ((1, 3, 2), -1), ((2, 1, 3), -1)):
-    _EPS3[_p] = _s
-
 
 def eps3(i: int, j: int, k: int) -> int:
-    return _EPS3.get((i, j, k), 0)
-
-
-def EPS4(a: int, b: int, c: int, d: int) -> int:
-    """Totally antisymmetric symbol with EPS4(1,2,3,4) = +1."""
-    perm = (a, b, c, d)
-    if len(set(perm)) != 4:
-        return 0
-    sign, items = 1, list(perm)
-    for i in range(3):
-        m = min(range(i, 4), key=lambda t: items[t])
-        if m != i:
-            items[i], items[m] = items[m], items[i]
-            sign = -sign
-    return sign
+    """eps_{ijk} with 1-based indices, as an exact integer."""
+    return int(EPS3[i - 1, j - 1, k - 1])
 
 
 def pauli_entry(j: int, al: int, be: int) -> sympy.Expr:
@@ -188,44 +171,28 @@ def leibniz_correction_coordinate(i: int, j: int, coordinate_first: bool) -> Alg
     Uses [a+_a, x_j] = -lam sig^j_{ga} a+_g and [a_b, x_j] = lam sig^j_{bd} a_d;
     in the second slot the coordinate commutators multiply from the right.
     """
+    cre, ann = (aL_dag, aL) if coordinate_first else (aR_dag, aR)
     total = AlgebraExpr()
     for al in range(1, 3):
         for be in range(1, 3):
             si = pauli_entry(i, al, be)
-            if si == 0:
-                continue
-            if coordinate_first:
-                t1 = AlgebraExpr()
-                for ga in range(1, 3):
-                    sj = pauli_entry(j, ga, al)
-                    if sj != 0:
-                        t1 = t1 + (-LAM * sj) * (aL_dag(ga) * (aL(be) - aR(be)))
-                t2 = AlgebraExpr()
-                for de in range(1, 3):
-                    sj = pauli_entry(j, be, de)
-                    if sj != 0:
-                        t2 = t2 + (LAM * sj) * (aL(de) * (aL_dag(al) - aR_dag(al)))
-                total = total + si * (t1 - t2)
-            else:
-                t1 = AlgebraExpr()
-                for de in range(1, 3):
-                    sj = pauli_entry(j, be, de)
-                    if sj != 0:
-                        t1 = t1 + (LAM * sj) * (aR(de) * (aL_dag(al) - aR_dag(al)))
-                t2 = AlgebraExpr()
-                for ga in range(1, 3):
-                    sj = pauli_entry(j, ga, al)
-                    if sj != 0:
-                        t2 = t2 + (-LAM * sj) * (aR_dag(ga) * (aL(be) - aR(be)))
-                total = total + si * (t1 - t2)
-    return coeff(-sI / (2 * R)) * total
+            for g in range(1, 3):
+                total = total + si * (
+                    (-LAM * pauli_entry(j, g, al)) * (cre(g) * (aL(be) - aR(be)))
+                    - (LAM * pauli_entry(j, be, g))
+                    * (ann(g) * (aL_dag(al) - aR_dag(al))))
+    return coeff((-sI if coordinate_first else sI) / (2 * R)) * total
 
 
 # -- identity proofs ---------------------------------------------------------
 
 @dataclass
 class IdentityResult:
-    """Outcome of one exact proof: residual normal forms and intermediates."""
+    """Outcome of one exact proof: residual normal forms and intermediates.
+
+    :func:`check_identity` hands the same object to every caller in the
+    process, so treat it as immutable.
+    """
 
     name: str
     statement: str
@@ -426,12 +393,21 @@ _ALIASES = {"A": "velocity-form", "B": "correction-sum",
             "E": "acceleration"}
 
 
+#: proofs already made in this process, keyed on the resolved name
+_PROOFS: Dict[str, IdentityResult] = {}
+
+
 def check_identity(name: str) -> IdentityResult:
-    """Prove one library identity; the residual must be the exact zero form."""
+    """Prove one library identity; the residual must be the exact zero form.
+
+    Each identity is proved once per process (aliases share the proof).
+    """
     key = _ALIASES.get(name, name)
     if key not in _PROVERS:
         raise KeyError(f"unknown identity {name!r}; have {sorted(_PROVERS)}")
-    return _PROVERS[key]()
+    if key not in _PROOFS:
+        _PROOFS[key] = _PROVERS[key]()
+    return _PROOFS[key]
 
 
 def cross_validate(expr: AlgebraExpr, space, reference=None,

@@ -3,6 +3,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from fuzzylab import algebra
 from fuzzylab.algebra import (LAM, R, RR, UFUN, AlgebraExpr, aL, aL_dag, aR,
                               aR_dag, coeff, commutator_symbolic,
                               expr_from_text, expr_to_text, normal_order, one,
@@ -190,3 +191,51 @@ def test_to_superop_right_family_order():
     got = to_superop(expr, space)(psi)
     want = space.state(psi.matrix @ space.ad[1] @ space.a[0])
     assert (got - want).absmax() < 1e-12
+
+
+def _simplify_is_zero(c):
+    """Reference zero test: the canonical form, then ``sympy.simplify``."""
+    c = algebra._canonical_coeff(c)
+    return c == 0 or sympy.simplify(c) == 0
+
+
+def test_structural_zero_test_agrees_with_simplify_on_proofs(monkeypatch):
+    seen = []
+    canonical = algebra._canonical_coeff
+
+    def record(c):
+        seen.append(c)
+        return canonical(c)
+
+    monkeypatch.setattr(algebra, "_canonical_coeff", record)
+    for prove in idn._PROVERS.values():
+        assert prove().ok
+    monkeypatch.undo()
+    coeffs = set(seen)
+    assert len(coeffs) > 50
+    disagree = [c for c in coeffs
+                if (canonical(c) == 0) != _simplify_is_zero(c)]
+    assert disagree == []
+
+
+@pytest.mark.parametrize("c", [
+    # zero only through I**2 = -1: (r - i lam)(r + i lam) = r^2 + lam^2
+    1 / (R - sympy.I * LAM) - (R + sympy.I * LAM) / (R**2 + LAM**2),
+    # zero only once the U(r + lam) atom cancels out of the fraction
+    UFUN(R + LAM) / (R - LAM) - UFUN(R + LAM) * (R + LAM) / (R**2 - LAM**2),
+])
+def test_hidden_zero_coefficients_normalize_to_no_terms(c):
+    assert c != 0 and _simplify_is_zero(c)
+    assert (coeff(c) * aL_dag(1) * aR(2)).normal().terms == {}
+
+
+def test_shifted_potential_atoms_cancel_exactly():
+    e = aL(1) * coeff(UFUN(R)) - coeff(UFUN(R + LAM)) * aL(1)
+    assert e.normal().terms == {}
+
+
+def test_nonzero_coefficient_survives():
+    c = (UFUN(R + LAM) - UFUN(R - LAM)) / (R - sympy.I * LAM)
+    terms = (coeff(c) * aL_dag(1) * aR(2)).normal().terms
+    assert list(terms) == [(("a", True, 1), ("b", False, 2))]
+    assert not _simplify_is_zero(terms[(("a", True, 1), ("b", False, 2))])

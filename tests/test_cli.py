@@ -227,3 +227,69 @@ def test_brute_force_check_measures_above_nmax_6():
     residual, detail = checks._run_brute_force(Space(8, 0.5), CheckConfig())
     assert np.isfinite(residual) and residual <= 1e-8
     assert "skipped" not in detail and "n_max 6" in detail
+
+
+@pytest.mark.parametrize("bad", [
+    {"lams": (-0.1,)}, {"lams": (0.5, 0.0)}, {"lams": (float("nan"),)},
+    {"lams": ()}, {"n_maxes": (0,)}, {"n_states": 0},
+    {"margin": "fixed:-1"}, {"margin": "fixed:"}, {"margin": "bogus"},
+])
+def test_run_suite_rejects_bad_config(bad):
+    with pytest.raises(ValueError):
+        run_suite(small_config(**bad))
+
+
+def test_cli_check_rejects_negative_lambda(capsys):
+    assert main(["check", "--suite", "kinematics", "--lambda", "-0.1",
+                 "--nmax", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "passed" not in captured.out
+
+
+def test_value_error_inside_a_check_fails_its_record(monkeypatch):
+    def broken(space, config):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(checks.CHECKS[0], "runner", broken)
+    report = run_suite(small_config())
+    rec = next(r for r in report.records
+               if r.check_id == checks.CHECKS[0].check_id)
+    assert not rec.passed and rec.detail == "error: boom"
+    assert not report.passed
+
+
+def test_symbolic_proofs_residual_counts_failures(monkeypatch):
+    from fuzzylab import identities as idn
+    from fuzzylab.algebra import R, aL, coeff
+
+    def failing():
+        return idn.IdentityResult(
+            "velocity-form", "forced failure",
+            residuals={"i=1": (coeff(R) * aL(1)).normal()},
+            intermediates=[("quoted form", "", False)])
+
+    monkeypatch.setitem(idn._PROVERS, "velocity-form", failing)
+    monkeypatch.setattr(idn, "_PROOFS", {})
+    report = run_suite(small_config(suites=("symbolic",)))
+    rec = {r.check_id: r for r in report.records}
+    assert rec["symbolic.proofs"].residual == 2.0 > 0.5
+    assert not rec["symbolic.proofs"].passed
+    assert "velocity-form" in rec["symbolic.proofs"].detail
+    assert rec["symbolic.pauli"].residual == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "-0.1"],
+    ["spectrum", "--j", "9", "--nmax", "8"],
+    ["spectrum", "--j", "8", "--nmax", "7", "--boundary", "hard"],
+    ["spectrum", "--j", "-1"],
+])
+def test_cli_spectrum_rejects_bad_input(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("schedule", ["0.5", "0.4:x", "-0.4:19", "0.4:0"])
+def test_cli_converge_rejects_bad_schedule(schedule, capsys):
+    assert main(["converge", f"--schedule={schedule}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")

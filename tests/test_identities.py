@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 import sympy
 
+from fuzzylab import algebra
 from fuzzylab import identities as idn
 from fuzzylab.algebra import LAM, R, coeff, one
 from fuzzylab.operators import Space
@@ -50,6 +51,20 @@ def test_transcripts_deterministic():
     a = idn.check_identity("correction-sum").transcript()
     b = idn.check_identity("correction-sum").transcript()
     assert a == b
+
+
+def test_check_identity_memoized_across_aliases():
+    assert idn.check_identity("A") is idn.check_identity("velocity-form")
+    assert idn.check_identity("E") is idn.check_identity("acceleration")
+
+
+@pytest.mark.parametrize("name", idn.IDENTITY_NAMES)
+def test_memoized_transcript_matches_fresh_proof(proofs, name):
+    algebra._canonical_coeff.cache_clear()
+    algebra._shifted.cache_clear()
+    fresh = idn._PROVERS[name]()
+    assert fresh is not proofs[name]
+    assert fresh.transcript() == proofs[name].transcript()
 
 
 def test_h0_raw_reduces_to_charge_zero_form():
