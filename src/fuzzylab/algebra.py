@@ -412,7 +412,8 @@ def _word_bandwidth(w: Tuple[Gen, ...]) -> int:
 def to_superop(e: AlgebraExpr, space, potential: Optional[Callable[[float], float]] = None):
     """Instantiate the expression as a numeric superoperator on ``space``.
 
-    Coefficients are evaluated on the block grid (r_left, r_right); entries
+    Each term is its generator word (Space ladder leaves) followed by a
+    coefficient grid evaluated on the block grid (r_left, r_right); entries
     whose generator word output vanishes never see the coefficient, so poles
     at unoccupied shells are harmless.  A pole multiplying a nonzero entry
     raises.  ``potential`` substitutes a concrete callable for ``U``.
@@ -421,39 +422,28 @@ def to_superop(e: AlgebraExpr, space, potential: Optional[Callable[[float], floa
 
     lam = space.lam
     rvals = space.r_diag
-    grid_l, grid_r = np.meshgrid(rvals, rvals, indexing="ij")
-    a, ad = space.a, space.ad
-    compiled = []
+    op = None
     for w, c in e.normal().sorted_terms():
         cnum = c.subs(LAM, sympy.Float(lam, 17))
         if potential is not None:
             cnum = cnum.replace(UFUN, lambda arg: sympy.sympify(potential(arg)))
         fn = sympy.lambdify((R, RR), cnum, modules="numpy")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grid = np.asarray(fn(grid_l, grid_r), dtype=complex)
-        grid = np.broadcast_to(grid, grid_l.shape).copy()
-        mats = []
-        for fam, dag, mode in w:
-            m = ad[mode - 1] if dag else a[mode - 1]
-            mats.append((fam, m))
-        compiled.append((grid, mats))
 
-    def apply(mat):
-        out = None
-        dense = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
-        for grid, mats in compiled:
-            cur = dense
-            for fam, m in reversed(mats):  # rightmost generator acts first
-                cur = m @ cur if fam == "a" else cur @ m
-            cur = np.asarray(cur)
-            with np.errstate(invalid="ignore"):  # poles only touch zeros
-                masked = np.where(cur == 0, 0.0, grid * cur)
-            if not np.all(np.isfinite(masked)):
-                raise ValueError("coefficient pole hit an occupied shell")
-            out = masked if out is None else out + masked
-        if out is None:
-            out = np.zeros_like(dense)
-        return out
+        def coefficient(i, k, fn=fn):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                grid = np.asarray(fn(rvals[i], rvals[k]), dtype=complex)
+            return np.broadcast_to(grid, np.shape(i))
 
-    bw = max((_word_bandwidth(w) for w in e.normal().terms), default=0)
-    return SuperOp(space.basis, apply, bw, name="symbolic")
+        word = None
+        for fam, dag, mode in reversed(w):  # rightmost generator acts first
+            leaf = space.ladder("L" if fam == "a" else "R", mode, dag)
+            word = leaf if word is None else leaf @ word
+        if word is None:
+            word = SuperOp.identity(space.basis)
+        term = word.with_coefficient(coefficient)
+        op = term if op is None else op + term
+    if op is None:
+        op = 0.0 * SuperOp.identity(space.basis)
+    op.name = "symbolic"
+    op.bandwidth = max((_word_bandwidth(w) for w in e.normal().terms), default=0)
+    return op

@@ -183,13 +183,17 @@ def _rel_residual(space: Space, diff: NCState, margin: int,
 
 
 class _OpCache:
-    """Memoize superoperator applications within one parameter point."""
+    """Memoize superoperator applications within one parameter point.
+
+    Keyed on the operator object: two operators may share a name (every
+    ``Space.hamiltonian(pot)`` is "H0+U") and still differ.
+    """
 
     def __init__(self):
         self._data = {}
 
     def apply(self, op: SuperOp, psi: NCState, key: Tuple) -> NCState:
-        k = (op.name,) + key
+        k = (op,) + key
         if k not in self._data:
             self._data[k] = op(psi)
         return self._data[k]
@@ -1085,7 +1089,8 @@ def run_suite(config: CheckConfig) -> VerificationReport:
     """Execute the configured suites over the (lam, n_max) grid.
 
     A bad config raises ValueError before any check runs; a ValueError
-    inside a check fails that check's record.
+    inside a check gives its record status "error", which fails the run
+    (diagnostics included).
     """
     _validate_config(config)
     wanted = set(SUITES) if "all" in config.suites else set(config.suites)
@@ -1102,6 +1107,7 @@ def run_suite(config: CheckConfig) -> VerificationReport:
         for lam, n_max in grid:
             t0 = time.perf_counter()
             params = {"lam": lam, "n_max": n_max, "seed": config.seed}
+            status = ""
             try:
                 space = Space(n_max, lam)
                 residual, detail = check.runner(space, config)
@@ -1111,11 +1117,12 @@ def run_suite(config: CheckConfig) -> VerificationReport:
                     passed = residual <= tol
             except ValueError as exc:
                 residual, detail, passed = float("nan"), f"error: {exc}", False
+                status = "error"
             ms = (time.perf_counter() - t0) * 1e3
             report.records.append(CheckRecord(
                 check_id=check.check_id, suite=check.suite,
                 statement=check.statement, params=params,
                 residual=float(residual), threshold=float(tol),
                 passed=bool(passed), kind=check.kind, wall_time_ms=ms,
-                detail=detail))
+                detail=detail, status=status))
     return report

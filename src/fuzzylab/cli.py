@@ -9,7 +9,8 @@ converge  commutative-limit study against the finite-difference oracle
 
 Config files use a plain-text ``key = value`` grammar (``#`` comments,
 comma-separated lists, ``tol.<check_id>`` overrides); command-line flags win
-over file values.  Exit status is zero iff every non-diagnostic check passed.
+over file values.  Exit status is zero iff every non-diagnostic check passed
+and no check (diagnostics included) raised an error.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="run verification suites",
         epilog="CSV columns: check_id, suite, kind, statement, params "
-               "(JSON), residual, threshold, passed, wall_time_ms, detail")
+               "(JSON), residual, threshold, passed, status, wall_time_ms, "
+               "detail")
     _add_common(p_check)
     p_check.add_argument("--suite", type=str, default=None,
                          help=f"comma-separated suites from {SUITES} or 'all'")

@@ -56,6 +56,25 @@ Matrix = Union[np.ndarray, sp.spmatrix]
 
 
 @dataclass(frozen=True)
+class Packing:
+    """Row-major layout of the entries of one charge kappa.
+
+    A charge-kappa state only occupies entries (i, k) with
+    shell(i) - shell(k) = kappa.  Packed in row-major order, the entries of
+    row i are the whole right shell shell(i) - kappa, so entry (i, k) sits at
+    ``offset[i] + k - start(shell(k))``; ``flat`` holds ``i * dim + k`` of
+    every packed entry, for gathering from and scattering into dense states.
+    """
+
+    offset: np.ndarray
+    flat: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.flat)
+
+
+@dataclass(frozen=True)
 class FockBasis:
     """Enumerated basis |n1, n2> with n1 + n2 <= n_max, grouped by shell.
 
@@ -68,6 +87,7 @@ class FockBasis:
     labels: tuple = field(repr=False)
     index: dict = field(repr=False)
     shells: np.ndarray = field(repr=False)  # total occupation per index
+    _packings: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -77,6 +97,29 @@ class FockBasis:
         """Contiguous index range of the shell N = n."""
         start = n * (n + 1) // 2
         return slice(start, start + n + 1)
+
+    def packing(self, kappa: int) -> Packing:
+        """The (cached) packed layout of the charge-kappa entries."""
+        got = self._packings.get(kappa)
+        if got is None:
+            right = self.shells - kappa
+            length = np.where((right >= 0) & (right <= self.n_max), right + 1, 0)
+            offset = np.cumsum(length) - length
+            rows = np.repeat(np.arange(self.dim), length)
+            within = np.arange(len(rows)) - offset[rows]
+            first = right[rows] * (right[rows] + 1) // 2
+            got = Packing(offset, rows * self.dim + first + within)
+            self._packings[kappa] = got
+        return got
+
+    def charges(self, matrix: np.ndarray) -> np.ndarray:
+        """Charges shell(i) - shell(k) of the nonzero entries of a dense
+        matrix, found block by block."""
+        starts = np.arange(self.n_max + 1) * np.arange(1, self.n_max + 2) // 2
+        blocks = np.logical_or.reduceat(matrix != 0, starts, axis=0)
+        blocks = np.logical_or.reduceat(blocks, starts, axis=1)
+        left, right = np.nonzero(blocks)
+        return np.unique(left - right)
 
 
 def enumerate_basis(n_max: int) -> FockBasis:
@@ -110,16 +153,16 @@ def ladder_matrix(basis: FockBasis, mode: int, dagger: bool = False) -> FockMatr
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    rows, cols, vals = [], [], []
-    for i, (n1, n2) in enumerate(basis.labels):
-        occ = (n1, n2)[mode - 1]
-        if occ > 0:
-            target = (n1 - 1, n2) if mode == 1 else (n1, n2 - 1)
-            rows.append(basis.index[target])
-            cols.append(i)
-            vals.append(np.sqrt(occ))
-    m = sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
-                      shape=(basis.dim, basis.dim))
+    shells = basis.shells
+    n2 = np.arange(basis.dim) - shells * (shells + 1) // 2
+    occ = n2 if mode == 2 else shells - n2
+    cols = np.flatnonzero(occ > 0)
+    # the target keeps its position within the shell below for mode 1 and
+    # moves one place left for mode 2
+    below = shells[cols] - 1
+    rows = below * (below + 1) // 2 + n2[cols] - (mode == 2)
+    vals = np.sqrt(occ[cols].astype(float)).astype(complex)
+    m = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
     if dagger:
         return FockMatrix(basis, m.conj().T.tocsr(), tag=f"a{mode}+")
     return FockMatrix(basis, m, tag=f"a{mode}")
@@ -133,13 +176,18 @@ def coordinate_matrix(basis: FockBasis, j: int, lam: float) -> FockMatrix:
         raise ValueError("lam must be positive")
     a = [ladder_matrix(basis, m).matrix for m in (1, 2)]
     ad = [m.conj().T.tocsr() for m in a]
+    return FockMatrix(basis, coordinate_from_ladders(a, ad, j, lam), tag=f"x{j}")
+
+
+def coordinate_from_ladders(a, ad, j: int, lam: float) -> sp.csr_matrix:
+    """x_j = lam * sigma^j_{ab} a+_a a_b from the ladder matrices a, a+."""
     sig = PAULI[j - 1]
-    x = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    x = sp.csr_matrix(a[0].shape, dtype=complex)
     for al in range(2):
         for be in range(2):
             if sig[al, be] != 0:
                 x = x + lam * sig[al, be] * (ad[al] @ a[be])
-    return FockMatrix(basis, x.tocsr(), tag=f"x{j}")
+    return x.tocsr()
 
 
 def radial_matrix(basis: FockBasis, lam: float) -> FockMatrix:
@@ -168,11 +216,15 @@ class NCState:
 
     Physical (scalar) states have charge kappa = 0: only blocks with equal
     left/right total occupation are populated, so [N, psi] = 0.  The matrix
-    may be dense or sparse; shell bookkeeping works on either.
+    may be dense or sparse; shell bookkeeping works on either.  States are
+    not modified in place: ``charges``, when known, is a sorted tuple that
+    holds the charge of every nonzero entry (it may hold more), and lets a
+    superoperator skip scanning the matrix for them.
     """
 
     basis: FockBasis
     matrix: Matrix
+    charges: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def dense(self) -> np.ndarray:
         if sp.issparse(self.matrix):
@@ -208,22 +260,28 @@ class NCState:
 
     def __add__(self, other: "NCState") -> "NCState":
         _check_same_basis(self, other)
-        return NCState(self.basis, self.matrix + other.matrix)
+        return NCState(self.basis, self.matrix + other.matrix,
+                       _union(self.charges, other.charges))
 
     def __sub__(self, other: "NCState") -> "NCState":
         _check_same_basis(self, other)
-        return NCState(self.basis, self.matrix - other.matrix)
+        return NCState(self.basis, self.matrix - other.matrix,
+                       _union(self.charges, other.charges))
 
     def __mul__(self, scalar: complex) -> "NCState":
-        return NCState(self.basis, self.matrix * scalar)
+        return NCState(self.basis, self.matrix * scalar, self.charges)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "NCState":
-        return NCState(self.basis, -self.matrix)
+        return NCState(self.basis, -self.matrix, self.charges)
 
     def absmax(self) -> float:
         return _absmax(self.matrix)
+
+
+def _union(a: Optional[tuple], b: Optional[tuple]) -> Optional[tuple]:
+    return None if a is None or b is None else tuple(sorted(set(a) | set(b)))
 
 
 def _check_same_basis(a: NCState, b: NCState) -> None:
@@ -245,6 +303,9 @@ class WeightedInnerProduct:
 
     def __post_init__(self):
         self.r_diag = self.lam * (self.basis.shells.astype(float) + 1.0)
+        self._r_sparse = sp.diags(self.r_diag)
+        self._shell_rows = [(self.lam * (n + 1.0), self.basis.shell_slice(n))
+                            for n in range(self.basis.n_max + 1)]
 
     def __call__(self, phi: NCState, psi: NCState) -> complex:
         _check_same_basis(phi, psi)
@@ -254,10 +315,12 @@ class WeightedInnerProduct:
         if sp.issparse(a) or sp.issparse(b):
             a = sp.csr_matrix(a)
             b = sp.csr_matrix(b)
-            prod = a.conj().multiply(sp.diags(self.r_diag) @ b)
+            prod = a.conj().multiply(self._r_sparse @ b)
             tr = prod.sum()
         else:
-            tr = np.sum(np.conj(a) * (self.r_diag[:, None] * b))
+            # r is constant on each shell and a shell's rows are contiguous,
+            # so the trace needs no weighted temporary
+            tr = sum(r * np.vdot(a[rows], b[rows]) for r, rows in self._shell_rows)
         return complex(4.0 * np.pi * self.lam**2 * tr)
 
     def norm(self, psi: NCState) -> float:
@@ -297,7 +360,7 @@ def random_state(basis: FockBasis, seed: int, kappa: int, support_max: int,
         sl, sr = basis.shell_slice(nl), basis.shell_slice(nr)
         shape = (sl.stop - sl.start, sr.stop - sr.start)
         m[sl, sr] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    state = NCState(basis, m)
+    state = NCState(basis, m, (kappa,))
     nrm = w.norm(state)
     if nrm == 0.0:
         raise ValueError("empty block set for the requested (kappa, support_max)")
@@ -316,9 +379,12 @@ def interior_projection(psi: NCState, margin: int) -> NCState:
         keep = (shells[coo.row] <= cut) & (shells[coo.col] <= cut)
         out = sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
                             shape=coo.shape).tocsr()
-        return NCState(psi.basis, out)
-    mask = (shells[:, None] <= cut) & (shells[None, :] <= cut)
-    return NCState(psi.basis, np.where(mask, psi.matrix, 0.0))
+        return NCState(psi.basis, out, psi.charges)
+    # shells are contiguous and ascending: the kept entries form one corner
+    keep = psi.basis.shell_slice(cut).stop
+    out = np.zeros_like(psi.matrix)
+    out[:keep, :keep] = psi.matrix[:keep, :keep]
+    return NCState(psi.basis, out, psi.charges)
 
 
 def state_to_text(psi: NCState, tol: float = 0.0) -> str:

@@ -14,55 +14,106 @@ with 1/r acting by left multiplication (on kappa = 0 states left and right
 radial multiplication agree).  Each SuperOp declares its shell bandwidth so
 compositions know how big an interior margin makes truncated identities
 exact; the sum of composed bandwidths is always a safe margin.
+
+A SuperOp is an expression tree whose leaves multiply the state from the
+left or the right by a fixed matrix.  A sparse state walks the tree with
+scipy products.  A dense state is applied charge by charge: the tree is
+compiled once per charge into one sparse matrix on the packed vector of that
+charge's entries (see :meth:`FockBasis.packing`), so an application is a
+gather, one matvec and a scatter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fock import (EPS3, PAULI, FockBasis, NCState, WeightedInnerProduct,
-                   coordinate_matrix, enumerate_basis, interior_projection,
-                   ladder_matrix, radial_matrix, random_state)
+                   coordinate_from_ladders, enumerate_basis,
+                   interior_projection, ladder_matrix, radial_matrix,
+                   random_state)
 
 __all__ = ["SuperOp", "RadialFunction", "Space"]
 
 
-@dataclass
+@dataclass(eq=False)
 class SuperOp:
-    """A linear map on NC states with a declared shell bandwidth."""
+    """A linear map on NC states with a declared shell bandwidth.
+
+    ``kind`` and ``args`` describe one tree node:
+
+    * ``"left"`` / ``"right"``: ``(M,)``, the state times a sparse matrix M;
+    * ``"id"``: ``()``;
+    * ``"scale"``: ``(c, op)``, a scalar times an operator;
+    * ``"add"`` / ``"sub"``: ``(a, b)``, a + b or a - b;
+    * ``"compose"``: ``(outer, inner)``, inner acting first;
+    * ``"grid"``: ``(coefficient, op)``: every output entry (i, k) of op
+      times ``coefficient(i, k)``.  An entry that op leaves at 0 stays 0
+      whatever the coefficient; a non-finite coefficient on a nonzero entry
+      raises ValueError.
+
+    Operators compare by identity.  The operator being applied caches its
+    compiled map per input charge, and so does every ``shared`` node below
+    it (the operators a Space hands out); other nodes are rebuilt.
+    """
 
     basis: FockBasis
-    func: Callable[..., "object"]
-    bandwidth: int
+    kind: str
+    args: tuple
+    bandwidth: int = 0
     name: str = ""
+    shared: bool = False
+    _compiled: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def left(cls, basis: FockBasis, matrix, bandwidth: int = 0,
+             name: str = "") -> "SuperOp":
+        return cls(basis, "left", (matrix,), bandwidth, name)
+
+    @classmethod
+    def right(cls, basis: FockBasis, matrix, bandwidth: int = 0,
+              name: str = "") -> "SuperOp":
+        return cls(basis, "right", (matrix,), bandwidth, name)
+
+    @classmethod
+    def identity(cls, basis: FockBasis) -> "SuperOp":
+        return cls(basis, "id", (), 0, "1")
+
+    def with_coefficient(self, coefficient: Callable) -> "SuperOp":
+        """This operator followed by an entry-wise coefficient (a grid node)."""
+        return SuperOp(self.basis, "grid", (coefficient, self), self.bandwidth,
+                       self.name)
 
     def __call__(self, psi: NCState) -> NCState:
         if psi.basis.n_max != self.basis.n_max:
             raise ValueError("state and operator live on different bases")
-        return NCState(psi.basis, self.func(psi.matrix))
+        m = psi.matrix
+        if sp.issparse(m):
+            return NCState(psi.basis, self._walk(m))
+        return NCState(psi.basis, *self._apply_packed(m, psi.charges))
 
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
-        return SuperOp(self.basis, lambda m: self.func(other.func(m)),
+        return SuperOp(self.basis, "compose", (self, other),
                        self.bandwidth + other.bandwidth,
                        name=f"{self.name}@{other.name}")
 
     def __add__(self, other: "SuperOp") -> "SuperOp":
-        return SuperOp(self.basis, lambda m: self.func(m) + other.func(m),
+        return SuperOp(self.basis, "add", (self, other),
                        max(self.bandwidth, other.bandwidth),
                        name=f"({self.name}+{other.name})")
 
     def __sub__(self, other: "SuperOp") -> "SuperOp":
-        return SuperOp(self.basis, lambda m: self.func(m) - other.func(m),
+        return SuperOp(self.basis, "sub", (self, other),
                        max(self.bandwidth, other.bandwidth),
                        name=f"({self.name}-{other.name})")
 
     def __mul__(self, scalar: complex) -> "SuperOp":
-        return SuperOp(self.basis, lambda m: scalar * self.func(m),
-                       self.bandwidth, name=f"{scalar}*{self.name}")
+        return SuperOp(self.basis, "scale", (scalar, self), self.bandwidth,
+                       name=f"{scalar}*{self.name}")
 
     __rmul__ = __mul__
 
@@ -70,10 +121,168 @@ class SuperOp:
         return self * (-1.0)
 
     def commutator(self, other: "SuperOp") -> "SuperOp":
-        return SuperOp(self.basis,
-                       lambda m: self.func(other.func(m)) - other.func(self.func(m)),
-                       self.bandwidth + other.bandwidth,
-                       name=f"[{self.name},{other.name}]")
+        op = self @ other - other @ self
+        op.name = f"[{self.name},{other.name}]"
+        op.bandwidth = self.bandwidth + other.bandwidth
+        return op
+
+    # -- sparse states: walk the tree with scipy products -------------------
+
+    def _walk(self, m):
+        kind, args = self.kind, self.args
+        if kind == "left":
+            return args[0] @ m
+        if kind == "right":
+            return m @ args[0]
+        if kind == "id":
+            return m
+        if kind == "scale":
+            return args[0] * args[1]._walk(m)
+        if kind == "compose":
+            return args[0]._walk(args[1]._walk(m))
+        if kind == "add":
+            return args[0]._walk(m) + args[1]._walk(m)
+        if kind == "sub":
+            return args[0]._walk(m) - args[1]._walk(m)
+        coefficient, op = args
+        cur = sp.coo_matrix(op._walk(m))
+        with np.errstate(invalid="ignore"):  # poles only touch zeros
+            vals = np.where(cur.data == 0, 0.0,
+                            coefficient(cur.row, cur.col) * cur.data)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("coefficient pole hit an occupied shell")
+        return sp.csr_matrix((vals, (cur.row, cur.col)), shape=cur.shape)
+
+    # -- dense states: one matvec per charge on packed vectors --------------
+
+    def packed_matrix(self, kappa: int = 0) -> sp.csr_matrix:
+        """The compiled map of a charge-preserving operator on packed
+        charge-kappa vectors."""
+        outs, checks = self._compile(kappa)
+        if set(outs) - {kappa} or checks:
+            raise ValueError(f"{self.name} is not one matrix on charge {kappa}")
+        size = self.basis.packing(kappa).size
+        return outs.get(kappa, sp.csr_matrix((size, size), dtype=complex))
+
+    def _apply_packed(self, m: np.ndarray, charges: Optional[tuple]):
+        """Gather each charge's packed vector, one matvec, scatter; returns
+        the dense output and its charges."""
+        basis = self.basis
+        src = np.ascontiguousarray(m).reshape(-1)
+        packed = {}
+        for kappa in basis.charges(m) if charges is None else charges:
+            x = src[basis.packing(kappa).flat]
+            outs, checks = self._compile(kappa)
+            if any(np.any(c @ x) for c in checks):
+                raise ValueError("coefficient pole hit an occupied shell")
+            for k, mat in outs.items():
+                y = mat @ x
+                packed[k] = packed[k] + y if k in packed else y
+        out = np.zeros(src.size, dtype=complex)
+        for k, y in packed.items():
+            out[basis.packing(k).flat] = y  # write-only: no read of fresh pages
+        return out.reshape(m.shape), tuple(sorted(packed))
+
+    def _compile(self, kappa: int, keep: bool = True):
+        """(maps, checks) on packed charge-kappa input: ``maps[k]`` takes it
+        to the packed charge-k output; every check must map it to zero, or a
+        coefficient pole meets a nonzero entry."""
+        got = self._compiled.get(kappa)
+        if got is None:
+            got = self._build(int(kappa))
+            if keep or self.shared:
+                self._compiled[kappa] = got
+        return got
+
+    def _build(self, kappa: int):
+        kind, args, basis = self.kind, self.args, self.basis
+        if kind in ("left", "right"):
+            return _leaf_maps(basis, args[0], kappa, kind == "left"), ()
+        if kind == "id":
+            size = basis.packing(kappa).size
+            return {kappa: sp.identity(size, dtype=complex, format="csr")}, ()
+        if kind == "scale":
+            outs, checks = args[1]._compile(kappa, False)
+            return {k: args[0] * mat for k, mat in outs.items()}, checks
+        if kind in ("add", "sub"):
+            outs, checks = args[0]._compile(kappa, False)
+            more_outs, more = args[1]._compile(kappa, False)
+            return _merged(outs, more_outs, kind == "sub"), checks + more
+        if kind == "compose":
+            outer, inner = args
+            outs, checks = inner._compile(kappa, False)
+            total = {}
+            for k1, m1 in outs.items():
+                outs2, more = outer._compile(k1, False)
+                checks += tuple((c @ m1).tocsr() for c in more)
+                total = _merged(total, {k2: m2 @ m1 for k2, m2 in outs2.items()})
+            return total, checks
+        coefficient, op = args
+        outs, checks = op._compile(kappa, False)
+        total = {}
+        for k, mat in outs.items():
+            flat = basis.packing(k).flat
+            grid = coefficient(flat // basis.dim, flat % basis.dim)
+            finite = np.isfinite(grid)
+            total[k] = (sp.diags(np.where(finite, grid, 0.0)) @ mat).tocsr()
+            hit = ~finite & (np.diff(mat.indptr) > 0)
+            if hit.any():
+                checks += (mat[hit],)
+        return total, checks
+
+
+def _merged(a: dict, b: dict, subtract: bool = False) -> dict:
+    """Sum (or difference) of two charge -> matrix maps."""
+    out = dict(a)
+    for k, mat in b.items():
+        if k not in out:
+            out[k] = -mat if subtract else mat
+        else:
+            out[k] = (out[k] - mat if subtract else out[k] + mat).tocsr()
+    return out
+
+
+def _leaf_maps(basis: FockBasis, matrix, kappa: int, left: bool) -> dict:
+    """Packed maps of psi -> M psi (``left``) or psi -> psi M on charge kappa.
+
+    Built from shell arithmetic: left multiplication by the entry M[i, j]
+    moves row j of the state to row i along the whole right shell
+    shell(j) - kappa; right multiplication by M[i, j] moves column i to
+    column j down the whole left shell shell(i) + kappa.
+    """
+    matrix = matrix.tocsr()
+    shells, n_max = basis.shells, basis.n_max
+    first = shells * (shells + 1) // 2  # start index of each entry's shell
+    i = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    j, v = matrix.indices, matrix.data
+    span = shells[j] - kappa if left else shells[i] + kappa
+    ok = (span >= 0) & (span <= n_max)
+    i, j, v, span = i[ok], j[ok], v[ok], span[ok]
+    count = span + 1
+    entry = np.repeat(np.arange(len(v)), count)
+    t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    i, j, v = i[entry], j[entry], v[entry]
+    src = basis.packing(kappa)
+    shift = shells[i] - shells[j]
+    if left:
+        rows_out, pos_in, pos_out = i, src.offset[j] + t, t
+    else:
+        row = span[entry] * (span[entry] + 1) // 2 + t
+        rows_out, pos_in, pos_out = row, src.offset[row] + i - first[i], j - first[j]
+    maps = {}
+    low, high = (int(shift.min()), int(shift.max())) if len(shift) else (0, -1)
+    for s in range(low, high + 1):
+        sel = slice(None) if low == high else shift == s
+        dst = basis.packing(kappa + s)
+        out, col = dst.offset[rows_out[sel]] + pos_out[sel], pos_in[sel]
+        if len(out) == 0:
+            continue
+        order = np.lexsort((col, out))
+        indptr = np.zeros(dst.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(out, minlength=dst.size), out=indptr[1:])
+        maps[kappa + s] = sp.csr_matrix(
+            (v[sel][order], col[order], indptr), shape=(dst.size, src.size))
+    return maps
 
 
 @dataclass
@@ -135,11 +344,47 @@ def _sigma_pairs(j: int):
             if sig[al, be] != 0]
 
 
+def _op_key(arg):
+    if isinstance(arg, RadialFunction):
+        return (arg.name, arg.values.tobytes())
+    return arg
+
+
+def _memoized(build):
+    """Space method returning the same (shared) SuperOp for the same
+    arguments."""
+
+    @functools.wraps(build)
+    def method(self, *args):
+        key = (build.__name__,) + tuple(_op_key(a) for a in args)
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = build(self, *args)
+            op.shared = True
+        return op
+
+    return method
+
+
+def _named(op: SuperOp, name: str, bandwidth: int) -> SuperOp:
+    op.name, op.bandwidth = name, bandwidth
+    return op
+
+
+def _sum(ops) -> SuperOp:
+    out = None
+    for op in ops:
+        out = op if out is None else out + op
+    return out
+
+
 class Space:
     """The truncated arena: basis, coordinate matrices and all superoperators.
 
-    Operators built here are immutable and safe to share; applications are
-    pure functions of the input state.
+    Operators built here are immutable and memoized: asking twice for the
+    same operator returns the same object, so its compiled maps are built
+    once per Space and freed with it.  Applications are pure functions of
+    the input state.
     """
 
     def __init__(self, n_max: int, lam: float):
@@ -150,11 +395,13 @@ class Space:
         self.basis = enumerate_basis(n_max)
         self.a = [ladder_matrix(self.basis, m).matrix for m in (1, 2)]
         self.ad = [m.conj().T.tocsr() for m in self.a]
-        self.x = [coordinate_matrix(self.basis, j, lam).matrix for j in (1, 2, 3)]
+        self.x = [coordinate_from_ladders(self.a, self.ad, j, lam)
+                  for j in (1, 2, 3)]
         self.r_diag = lam * (self.basis.shells.astype(float) + 1.0)
         self.rinv = sp.diags(1.0 / self.r_diag, format="csr", dtype=complex)
         self.r = radial_matrix(self.basis, lam).matrix
         self.ip = WeightedInnerProduct(self.basis, lam)
+        self._ops = {}
 
     # -- state helpers ----------------------------------------------------
 
@@ -175,49 +422,73 @@ class Space:
         return NCState(self.basis, sp.identity(self.basis.dim, dtype=complex,
                                                format="csr"))
 
+    # -- leaves --------------------------------------------------------------
+
+    @_memoized
+    def ladder(self, side: str, mode: int, dagger: bool) -> SuperOp:
+        """psi -> a psi (side "L") or psi -> psi a (side "R"), a = a_mode or
+        a+_mode."""
+        m = (self.ad if dagger else self.a)[mode - 1]
+        name = f"a{mode}{'+' if dagger else ''}{side}"
+        if side == "L":
+            return SuperOp.left(self.basis, m, 1, name)
+        return SuperOp.right(self.basis, m, 1, name)
+
+    @_memoized
+    def _ladder_commutator(self, mode: int, dagger: bool) -> SuperOp:
+        """psi -> [a, psi] for a = a_mode or a+_mode."""
+        return self.ladder("L", mode, dagger) - self.ladder("R", mode, dagger)
+
+    @_memoized
+    def _rinv(self) -> SuperOp:
+        return SuperOp.left(self.basis, self.rinv, 0, "1/r")
+
     # -- bandwidth-0 generators -------------------------------------------
 
+    @_memoized
     def angular_momentum(self, k: int) -> SuperOp:
         """L_k psi = [x_k, psi] / (2 lam)."""
-        xk, lam = self.x[k - 1], self.lam
-        return SuperOp(self.basis, lambda m: (xk @ m - m @ xk) / (2.0 * lam),
-                       0, name=f"L{k}")
+        xk = self.x[k - 1]
+        comm = SuperOp.left(self.basis, xk) - SuperOp.right(self.basis, xk)
+        return _named((1.0 / (2.0 * self.lam)) * comm, f"L{k}", 0)
 
+    @_memoized
     def position(self, k: int) -> SuperOp:
         """X_k psi = (x_k psi + psi x_k) / 2."""
-        xk = self.x[k - 1]
-        return SuperOp(self.basis, lambda m: 0.5 * (xk @ m + m @ xk),
-                       0, name=f"X{k}")
+        return _named(0.5 * (self.position_left(k) + self.position_right(k)),
+                      f"X{k}", 0)
 
+    @_memoized
     def position_left(self, k: int) -> SuperOp:
-        xk = self.x[k - 1]
-        return SuperOp(self.basis, lambda m: xk @ m, 0, name=f"X{k}L")
+        return SuperOp.left(self.basis, self.x[k - 1], 0, f"X{k}L")
 
+    @_memoized
     def position_right(self, k: int) -> SuperOp:
-        xk = self.x[k - 1]
-        return SuperOp(self.basis, lambda m: m @ xk, 0, name=f"X{k}R")
+        return SuperOp.right(self.basis, self.x[k - 1], 0, f"X{k}R")
 
+    @_memoized
     def radial(self) -> SuperOp:
         """r psi (left multiplication; equals psi r on kappa = 0 states)."""
-        r = self.r
-        return SuperOp(self.basis, lambda m: r @ m, 0, name="r")
+        return SuperOp.left(self.basis, self.r, 0, "r")
 
     def shell_diagonal(self, shell_values: np.ndarray) -> sp.csr_matrix:
         """Expand per-shell values to a diagonal matrix over the full basis."""
         vals = np.asarray(shell_values)[self.basis.shells]
         return sp.diags(vals.astype(complex), format="csr")
 
+    @_memoized
     def radial_multiplication(self, f: RadialFunction) -> SuperOp:
         """Multiplication by f(r), acting shell-diagonally from the left."""
         if f.n_max != self.n_max:
             raise ValueError("radial function grid does not match the space")
-        diag = self.shell_diagonal(f.values)
-        return SuperOp(self.basis, lambda m: diag @ m, 0, name=f.name or "f(r)")
+        return SuperOp.left(self.basis, self.shell_diagonal(f.values), 0,
+                            f.name or "f(r)")
 
+    @_memoized
     def so4_generator(self, a: int, b: int) -> SuperOp:
         """L_ab: L_ij = eps_ijk L_k, L_k4 = -L_4k = X_k / lam."""
         if a == b:
-            return SuperOp(self.basis, lambda m: 0.0 * m, 0, name="0")
+            return _named(0.0 * SuperOp.identity(self.basis), "0", 0)
         if a != 4 and b != 4:
             k = next(kk for kk in (1, 2, 3) if kk not in (a, b))
             return EPS3[a - 1, b - 1, k - 1] * self.angular_momentum(k)
@@ -227,93 +498,69 @@ class Space:
 
     # -- bandwidth-1 operators --------------------------------------------
 
+    @_memoized
     def free_hamiltonian(self) -> SuperOp:
         """H0 psi = [a+_al, [a_al, psi]] / (2 lam r),  hbar = m = 1."""
-        a, ad, rinv, lam = self.a, self.ad, self.rinv, self.lam
+        s = _sum(self._ladder_commutator(al, True) @ self._ladder_commutator(al, False)
+                 for al in (1, 2))
+        return _named((1.0 / (2.0 * self.lam)) * (self._rinv() @ s), "H0", 1)
 
-        def apply(m):
-            s = None
-            for al in range(2):
-                t = a[al] @ m - m @ a[al]
-                t = ad[al] @ t - t @ ad[al]
-                s = t if s is None else s + t
-            return rinv @ s / (2.0 * lam)
-
-        return SuperOp(self.basis, apply, 1, name="H0")
-
+    @_memoized
     def laplacian(self) -> SuperOp:
         """Deformed Laplacian: Delta_lam = -2 H0 (with m = 1)."""
         return -2.0 * self.free_hamiltonian()
 
+    def _sigma_sum(self, j: int, term) -> SuperOp:
+        """sum over (al, be) of sig^j_{al be} * term(al, be), 1-based modes."""
+        return _sum(term(al + 1, be + 1) * c for (al, be), c in _sigma_pairs(j - 1))
+
+    @_memoized
     def velocity(self, j: int) -> SuperOp:
         """V_j psi = -(i/2r) sig^j_{ab} (a+_a [a_b, psi] - a_b [a+_a, psi])."""
-        a, ad, rinv = self.a, self.ad, self.rinv
-        pairs = _sigma_pairs(j - 1)
+        def term(al, be):
+            return self.ladder("L", al, True) @ self._ladder_commutator(be, False) \
+                - self.ladder("L", be, False) @ self._ladder_commutator(al, True)
 
-        def apply(m):
-            s = None
-            for (al, be), c in pairs:
-                t = ad[al] @ (a[be] @ m - m @ a[be]) \
-                    - a[be] @ (ad[al] @ m - m @ ad[al])
-                t = c * t
-                s = t if s is None else s + t
-            return -0.5j * (rinv @ s)
+        return _named(-0.5j * (self._rinv() @ self._sigma_sum(j, term)),
+                      f"V{j}", 1)
 
-        return SuperOp(self.basis, apply, 1, name=f"V{j}")
-
+    @_memoized
     def velocity_w_form(self, j: int) -> SuperOp:
         """Equivalent form V_j = (i/2r) sig^j_{ab} w_ab, w_ab psi = a+_a psi a_b - a_b psi a+_a."""
-        a, ad, rinv = self.a, self.ad, self.rinv
-        pairs = _sigma_pairs(j - 1)
+        def term(al, be):
+            return self.ladder("R", be, False) @ self.ladder("L", al, True) \
+                - self.ladder("R", al, True) @ self.ladder("L", be, False)
 
-        def apply(m):
-            s = None
-            for (al, be), c in pairs:
-                t = c * (ad[al] @ m @ a[be] - a[be] @ m @ ad[al])
-                s = t if s is None else s + t
-            return 0.5j * (rinv @ s)
+        return _named(0.5j * (self._rinv() @ self._sigma_sum(j, term)),
+                      f"V{j}w", 1)
 
-        return SuperOp(self.basis, apply, 1, name=f"V{j}w")
-
+    @_memoized
     def velocity4(self) -> SuperOp:
         """V_4 = 1/lam - lam H0."""
-        h0 = self.free_hamiltonian()
         lam = self.lam
-        return SuperOp(self.basis, lambda m: m / lam - lam * h0.func(m),
-                       1, name="V4")
+        return _named((1.0 / lam) * SuperOp.identity(self.basis)
+                      - lam * self.free_hamiltonian(), "V4", 1)
 
+    @_memoized
     def velocity4_cross_form(self) -> SuperOp:
         """Equivalent form V_4 psi = (a+_a psi a_a + a_a psi a+_a) / (2r)."""
-        a, ad, rinv = self.a, self.ad, self.rinv
-
-        def apply(m):
-            s = None
-            for al in range(2):
-                t = ad[al] @ m @ a[al] + a[al] @ m @ ad[al]
-                s = t if s is None else s + t
-            return 0.5 * (rinv @ s)
-
-        return SuperOp(self.basis, apply, 1, name="V4w")
+        s = _sum(self.ladder("R", al, False) @ self.ladder("L", al, True)
+                 + self.ladder("R", al, True) @ self.ladder("L", al, False)
+                 for al in (1, 2))
+        return _named(0.5 * (self._rinv() @ s), "V4w", 1)
 
     def velocity_so4(self, c: int) -> SuperOp:
         """V_a for a = 1..4."""
         return self.velocity4() if c == 4 else self.velocity(c)
 
+    @_memoized
     def w_vector(self, j: int) -> SuperOp:
         """W_j psi = (1/2r) sig^j_{ab} [a_b, [a+_a, psi]]."""
-        a, ad, rinv = self.a, self.ad, self.rinv
-        pairs = _sigma_pairs(j - 1)
+        def term(al, be):
+            return self._ladder_commutator(be, False) @ self._ladder_commutator(al, True)
 
-        def apply(m):
-            s = None
-            for (al, be), c in pairs:
-                t = ad[al] @ m - m @ ad[al]
-                t = a[be] @ t - t @ a[be]
-                t = c * t
-                s = t if s is None else s + t
-            return 0.5 * (rinv @ s)
-
-        return SuperOp(self.basis, apply, 1, name=f"W{j}")
+        return _named(0.5 * (self._rinv() @ self._sigma_sum(j, term)),
+                      f"W{j}", 1)
 
     # -- Leibniz correction ------------------------------------------------
 
@@ -338,25 +585,22 @@ class Space:
 
     # -- central potentials and acceleration -------------------------------
 
+    @_memoized
     def hamiltonian(self, potential: Optional[RadialFunction] = None) -> SuperOp:
         """H = H0 + U(r) for a central potential given per shell."""
         h0 = self.free_hamiltonian()
         if potential is None:
             return h0
-        u = self.radial_multiplication(potential)
-        h = h0 + u
-        h.name = "H0+U"
-        h.bandwidth = 1
-        return h
+        return _named(h0 + self.radial_multiplication(potential), "H0+U", 1)
 
+    @_memoized
     def acceleration(self, i: int, potential: RadialFunction) -> SuperOp:
         """-i [V_i, U(r)]: equals -i [V_i, H0 + U(r)] since [V_i, H0] = 0."""
         v = self.velocity(i)
         u = self.radial_multiplication(potential)
-        op = -1j * v.commutator(u)
-        op.name = f"A{i}[{potential.name}]"
-        return op
+        return _named(-1j * v.commutator(u), f"A{i}[{potential.name}]", 1)
 
+    @_memoized
     def acceleration_decomposed(self, i: int, potential: RadialFunction) -> SuperOp:
         """Decomposition of -i [V_i, U(r)] into gradient plus deformation terms:
 
@@ -366,57 +610,39 @@ class Space:
         with U', U'' the central lambda-differences on the shell grid.  The
         first term is left multiplication by the state V_i U(r) times -i.
         """
-        lam = self.lam
-        du = potential.lambda_derivative(1)
-        ddu = potential.lambda_derivative(2)
-        du_diag = self.shell_diagonal(du.values)
-        ddu_diag = self.shell_diagonal(ddu.values)
-        xi = self.x[i - 1]
-        grad = (du_diag @ self.rinv) @ xi  # the Fock operator (x_i/r) U'(r)
-        li = self.angular_momentum(i)
-        wi = self.w_vector(i)
-        vi = self.velocity(i)
-        rinv = self.rinv
-
-        def apply(m):
-            t1 = -grad @ m
-            t2 = du_diag @ (lam * (rinv @ li.func(m)))
-            t3 = lam * (du_diag @ wi.func(m))
-            t4 = -0.5j * lam**2 * (ddu_diag @ vi.func(m))
-            return t1 + t2 + t3 + t4
-
-        return SuperOp(self.basis, apply, 1, name=f"A{i}dec[{potential.name}]")
+        lam, basis = self.lam, self.basis
+        du = SuperOp.left(basis, self.shell_diagonal(
+            potential.lambda_derivative(1).values))
+        ddu = SuperOp.left(basis, self.shell_diagonal(
+            potential.lambda_derivative(2).values))
+        grad = (du.args[0] @ self.rinv) @ self.x[i - 1]  # (x_i/r) U'(r)
+        op = SuperOp.left(basis, -grad) \
+            + du @ (lam * (self._rinv() @ self.angular_momentum(i))) \
+            + lam * (du @ self.w_vector(i)) \
+            + (-0.5j * lam**2) * (ddu @ self.velocity(i))
+        return _named(op, f"A{i}dec[{potential.name}]", 1)
 
     # -- E(4) invariants ----------------------------------------------------
 
+    @_memoized
     def pauli_lubanski(self, a: int) -> SuperOp:
         """Pauli-Lubanski components: Lam_i = V4 L_i + eps_ijk V_j X_k / lam,
         Lam_4 = L_j V_j.  All vanish on kappa = 0 states."""
         if a == 4:
-            op = None
-            for j in (1, 2, 3):
-                t = self.angular_momentum(j) @ self.velocity(j)
-                op = t if op is None else op + t
-            op.name = "Lam4"
-            op.bandwidth = 1
-            return op
+            op = _sum(self.angular_momentum(j) @ self.velocity(j)
+                      for j in (1, 2, 3))
+            return _named(op, "Lam4", 1)
         op = self.velocity4() @ self.angular_momentum(a)
         for j in (1, 2, 3):
             for k in (1, 2, 3):
                 e = EPS3[a - 1, j - 1, k - 1]
                 if e != 0:
                     op = op + (e / self.lam) * (self.velocity(j) @ self.position(k))
-        op.name = f"Lam{a}"
-        op.bandwidth = 1
-        return op
+        return _named(op, f"Lam{a}", 1)
 
+    @_memoized
     def casimir2(self) -> SuperOp:
         """C2 = V_a V_a over a = 1..4; equals 1/lam^2 on kappa = 0 states."""
-        op = None
-        for a in (1, 2, 3, 4):
-            v = self.velocity_so4(a)
-            t = v @ v
-            op = t if op is None else op + t
-        op.name = "C2"
-        op.bandwidth = 2
-        return op
+        op = _sum(self.velocity_so4(a) @ self.velocity_so4(a)
+                  for a in (1, 2, 3, 4))
+        return _named(op, "C2", 2)

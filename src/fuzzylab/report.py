@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import platform
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
@@ -13,7 +14,8 @@ __all__ = ["CheckRecord", "VerificationReport", "emit_report",
            "report_from_json", "environment_fingerprint",
            "CSV_COLUMNS", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 1
+#: v2 adds the record ``status`` and writes non-finite numbers as null
+SCHEMA_VERSION = 2
 
 
 def environment_fingerprint() -> dict:
@@ -32,7 +34,8 @@ def environment_fingerprint() -> dict:
 
 #: column order of the CSV emitter (documented in the CLI help)
 CSV_COLUMNS = ["check_id", "suite", "kind", "statement", "params",
-               "residual", "threshold", "passed", "wall_time_ms", "detail"]
+               "residual", "threshold", "passed", "status", "wall_time_ms",
+               "detail"]
 
 
 @dataclass
@@ -40,8 +43,11 @@ class CheckRecord:
     """One executed check.
 
     ``kind`` is "identity" for residual-below-threshold checks and
-    "diagnostic" for expected-nonzero observations (those never fail a run).
-    ``statement`` quotes the relation being verified.
+    "diagnostic" for expected-nonzero observations (a quiet one never fails
+    a run).  ``statement`` quotes the relation being verified.  ``status`` is
+    "pass" or "fail" for an identity, "observed" or "quiet" for a diagnostic
+    (derived from ``passed`` when not given), and "error" for a check whose
+    own code raised; an error fails the run whatever the kind.
     """
 
     check_id: str
@@ -54,6 +60,14 @@ class CheckRecord:
     kind: str = "identity"
     wall_time_ms: float = 0.0
     detail: str = ""
+    status: str = ""
+
+    def __post_init__(self):
+        if not self.status:
+            if self.kind == "diagnostic":
+                self.status = "observed" if self.passed else "quiet"
+            else:
+                self.status = "pass" if self.passed else "fail"
 
 
 @dataclass
@@ -64,8 +78,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        """True iff every non-diagnostic check passed."""
-        return all(r.passed for r in self.records if r.kind != "diagnostic")
+        """True iff every non-diagnostic check passed and no check errored."""
+        return all(r.passed for r in self.records if r.kind != "diagnostic") \
+            and not any(r.status == "error" for r in self.records)
 
     def summary(self) -> dict:
         checks = [r for r in self.records if r.kind != "diagnostic"]
@@ -76,17 +91,21 @@ class VerificationReport:
             "failed": sum(not r.passed for r in checks),
             "diagnostics": len(diags),
             "diagnostics_observed": sum(r.passed for r in diags),
+            "errors": sum(r.status == "error" for r in self.records),
             "environment": environment_fingerprint(),
         }
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite number (the residual of an errored
+        check) is written as null."""
         payload = {
             "schema_version": self.schema_version,
             "config": self.config,
             "summary": self.summary(),
             "records": [asdict(r) for r in self.records],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -101,10 +120,8 @@ class VerificationReport:
     def to_text(self) -> str:
         lines = ["verification report"]
         for r in self.records:
-            mark = "pass" if r.passed else ("seen" if r.kind == "diagnostic"
-                                            else "FAIL")
-            if r.kind == "diagnostic" and not r.passed:
-                mark = "quiet"
+            mark = {"pass": "pass", "fail": "FAIL", "observed": "seen",
+                    "quiet": "quiet", "error": "ERROR"}[r.status]
             params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
             lines.append(f"[{mark}] {r.check_id}  ({params})")
             lines.append(f"       {r.statement}")
@@ -115,15 +132,37 @@ class VerificationReport:
         s = self.summary()
         lines.append(f"summary: {s['passed']}/{s['checks']} checks passed, "
                      f"{s['diagnostics_observed']}/{s['diagnostics']} "
-                     "diagnostics observed")
+                     f"diagnostics observed, {s['errors']} errors")
         return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def report_from_json(text: str) -> VerificationReport:
+    """Read a v2 report, or a v1 one (no status; an ``error:`` detail marks
+    an errored check).  A null number reads back as NaN."""
     payload = json.loads(text)
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    version = payload.get("schema_version")
+    if version not in (1, SCHEMA_VERSION):
         raise ValueError("unknown report schema version")
-    records = [CheckRecord(**r) for r in payload["records"]]
+    records = []
+    for r in payload["records"]:
+        r = dict(r)
+        for key in ("residual", "threshold", "wall_time_ms"):
+            if r.get(key, 0.0) is None:
+                r[key] = float("nan")
+        if version == 1 and r.get("detail", "").startswith("error: "):
+            r["status"] = "error"
+        records.append(CheckRecord(**r))
     return VerificationReport(config=payload["config"], records=records)
 
 

@@ -242,22 +242,16 @@ def full_kappa0_spectrum(space: Space,
                          potential: Optional[CentralPotential] = None) -> np.ndarray:
     """Brute-force spectrum of H on the whole charge-zero subspace.
 
-    Builds the dense matrix of the superoperator over all block entries with
-    equal left/right shell, symmetrized by the weighted norm.  Dimension
-    grows like n_max^3 / 3; intended for small spaces.
+    Diagonalizes the compiled matrix of the superoperator on the packed
+    charge-zero vector (every block entry with equal left/right shell),
+    symmetrized by the weighted norm.  Dimension grows like n_max^3 / 3;
+    intended for small spaces.
     """
     basis = space.basis
     if basis.n_max > 8:
         raise ValueError("brute-force solve is meant for n_max <= 8")
-    shells = basis.shells
-    rows, cols = np.nonzero(shells[:, None] == shells[None, :])
-    h = space.hamiltonian(potential)
-    big = np.zeros((len(rows), len(rows)), dtype=complex)
-    for col, (i, k) in enumerate(zip(rows, cols)):
-        e = np.zeros((basis.dim, basis.dim), dtype=complex)
-        e[i, k] = 1.0
-        big[:, col] = h.func(e)[rows, cols]
-    weights = np.sqrt(space.r_diag[rows])
+    big = space.hamiltonian(potential).packed_matrix(0).toarray()
+    weights = np.sqrt(space.r_diag[basis.packing(0).flat // basis.dim])
     symm = (weights[:, None] * big) / weights[None, :]
     symm = 0.5 * (symm + symm.conj().T)
     return np.linalg.eigvalsh(symm)

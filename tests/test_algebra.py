@@ -239,3 +239,21 @@ def test_nonzero_coefficient_survives():
     terms = (coeff(c) * aL_dag(1) * aR(2)).normal().terms
     assert list(terms) == [(("a", True, 1), ("b", False, 2))]
     assert not _simplify_is_zero(terms[(("a", True, 1), ("b", False, 2))])
+
+
+def test_to_superop_pole_rule_on_sparse_states():
+    import scipy.sparse as sp
+    space = Space(5, 0.5)
+    psi = space.random_state(2, 0, 3)
+    sparse = space.state(sp.csr_matrix(psi.matrix))
+    safe = to_superop(coeff(1 / (R - LAM)) * aL_dag(1) * aR(1), space)
+    got = safe(sparse).matrix.toarray()
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - safe(psi).matrix).max() <= 1e-13 * np.abs(got).max()
+    bad = to_superop(coeff(1 / (R - LAM)), space)
+    with pytest.raises(ValueError):
+        bad(sparse)
+    # a state that leaves shell 0 empty never meets the pole
+    outer = space.interior(psi, 0).matrix.copy()
+    outer[0, 0] = 0.0
+    assert np.all(np.isfinite(bad(space.state(outer)).matrix))

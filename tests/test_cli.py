@@ -293,3 +293,72 @@ def test_cli_spectrum_rejects_bad_input(argv, capsys):
 def test_cli_converge_rejects_bad_schedule(schedule, capsys):
     assert main(["converge", f"--schedule={schedule}"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_op_cache_tells_same_named_operators_apart():
+    from fuzzylab.operators import RadialFunction
+    space = Space(6, 0.5)
+    coulomb = RadialFunction.from_callable(lambda r: -1.0 / r, 0.5, 6, "c")
+    square = RadialFunction.from_callable(lambda r: r * r, 0.5, 6, "s")
+    h1, h2 = space.hamiltonian(coulomb), space.hamiltonian(square)
+    assert h1.name == h2.name
+    psi = space.random_state(3, 0, 5)
+    cache = checks._OpCache()
+    a = cache.apply(h1, psi, (0,))
+    b = cache.apply(h2, psi, (0,))
+    assert (a - b).absmax() > 0.1
+    assert cache.apply(h1, psi, (0,)) is a
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_json_report_writes_null_for_errors(capsys):
+    code = main(["check", "--suite", "quadratic,diagnostic", "--lambda", "0.5",
+                 "--nmax", "1", "--states", "1", "--format", "json"])
+    text = capsys.readouterr().out
+    assert code == 1
+    assert "NaN" not in text
+    payload = _strict_json(text)
+    assert payload["schema_version"] == 2
+    errors = [r for r in payload["records"] if r["status"] == "error"]
+    assert len(errors) == payload["summary"]["errors"] == 5
+    assert all(r["residual"] is None for r in errors)
+    assert all(r["detail"].startswith("error: ") for r in errors)
+    back = report_from_json(text)
+    assert not back.passed
+    assert all(np.isnan(r.residual) for r in back.records if r.status == "error")
+
+
+def test_errored_diagnostic_fails_the_run(capsys):
+    code = main(["check", "--suite", "diagnostic", "--lambda", "0.5",
+                 "--nmax", "1", "--states", "1", "--format", "json"])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    (record,) = payload["records"]
+    assert record["kind"] == "diagnostic" and record["status"] == "error"
+    assert payload["summary"]["errors"] == 1
+    # a diagnostic that ran and saw nothing still never fails a run
+    quiet = CheckRecord("d", "diagnostic", "x != 0", {}, 0.0, 1e-3, False,
+                        kind="diagnostic")
+    assert quiet.status == "quiet"
+    assert VerificationReport(config={}, records=[quiet]).passed
+
+
+def test_report_from_json_reads_schema_v1():
+    v1 = """{"schema_version": 1, "config": {}, "summary": {}, "records": [
+      {"check_id": "a", "suite": "s", "statement": "x = 0", "params": {},
+       "residual": 0.0, "threshold": 1e-10, "passed": true,
+       "kind": "identity", "wall_time_ms": 1.0, "detail": ""},
+      {"check_id": "d", "suite": "diagnostic", "statement": "x != 0",
+       "params": {}, "residual": NaN, "threshold": 0.001, "passed": false,
+       "kind": "diagnostic", "wall_time_ms": 1.0,
+       "detail": "error: support_max exceeds n_max"}]}"""
+    report = report_from_json(v1)
+    assert [r.status for r in report.records] == ["pass", "error"]
+    assert not report.passed
+    with pytest.raises(ValueError):
+        report_from_json(v1.replace('"schema_version": 1', '"schema_version": 3'))

@@ -186,3 +186,70 @@ def test_state_text_round_trip():
     back = state_from_text(state_to_text(psi))
     assert back.basis.n_max == 5
     assert np.abs(back.dense() - psi.dense()).max() == 0.0
+
+
+def _loop_ladder_matrix(basis, mode, dagger=False):
+    """The label-by-label construction ladder_matrix replaced (reference)."""
+    import scipy.sparse as sp
+    rows, cols, vals = [], [], []
+    for i, (n1, n2) in enumerate(basis.labels):
+        occ = (n1, n2)[mode - 1]
+        if occ > 0:
+            target = (n1 - 1, n2) if mode == 1 else (n1, n2 - 1)
+            rows.append(basis.index[target])
+            cols.append(i)
+            vals.append(np.sqrt(occ))
+    m = sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
+                      shape=(basis.dim, basis.dim))
+    return m.conj().T.tocsr() if dagger else m
+
+
+@pytest.mark.parametrize("n_max", range(9))
+def test_ladder_matrix_bit_identical_to_loop(n_max):
+    basis = enumerate_basis(n_max)
+    for mode in (1, 2):
+        for dagger in (False, True):
+            got = ladder_matrix(basis, mode, dagger).matrix
+            want = _loop_ladder_matrix(basis, mode, dagger)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
+            assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_inner_product_matches_reference_formula():
+    import scipy.sparse as sp
+    basis = enumerate_basis(9)
+    w = WeightedInnerProduct(basis, 0.3)
+    pref = 4.0 * np.pi * 0.3**2
+    phi = random_state(basis, 1, 0, 9, w)
+    psi = random_state(basis, 2, 0, 8, w)
+    a, b = phi.matrix, psi.matrix
+    want = pref * np.sum(np.conj(a) * (w.r_diag[:, None] * b))
+    assert abs(w(phi, psi) - want) <= 1e-14 * abs(want)
+    # the sparse path keeps its arithmetic exactly
+    sa, sb = sp.csr_matrix(a), sp.csr_matrix(b)
+    exact = complex(pref * sa.conj().multiply(sp.diags(w.r_diag) @ sb).sum())
+    assert w(NCState(basis, sa), NCState(basis, sb)) == exact
+    assert w(NCState(basis, sa), psi) == exact
+
+
+def test_packing_layout_and_charge_census():
+    basis = enumerate_basis(5)
+    w = WeightedInnerProduct(basis, 0.5)
+    shells = basis.shells
+    for kappa in (-2, 0, 1, 3):
+        flat = basis.packing(kappa).flat
+        rows, cols = flat // basis.dim, flat % basis.dim
+        want_rows, want_cols = np.nonzero(shells[:, None] - shells[None, :]
+                                          == kappa)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+        off = basis.packing(kappa).offset
+        pos = off[rows] + cols - shells[cols] * (shells[cols] + 1) // 2
+        assert np.array_equal(pos, np.arange(len(flat)))
+        psi = random_state(basis, 3, kappa, 5, w)
+        assert list(basis.charges(psi.matrix)) == [kappa]
+    mixed = random_state(basis, 4, 1, 5, w) + random_state(basis, 5, -2, 5, w)
+    assert list(basis.charges(mixed.matrix)) == [-2, 1]
+    assert list(basis.charges(np.zeros((basis.dim, basis.dim)))) == []

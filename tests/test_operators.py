@@ -405,3 +405,91 @@ def test_commutative_limit_of_velocity_gradient():
     assert ratios[1] < ratios[0] and ratios[2] < ratios[1]
     # central difference converges at second order: halving lam gains ~4x
     assert ratios[0] / ratios[2] > 8.0
+
+
+# -- compiled (dense) path vs tree walk (sparse) ---------------------------------
+
+
+def _every_space_operator(space):
+    coulomb = RadialFunction.from_callable(lambda r: -1.0 / r, space.lam,
+                                           space.n_max, name="coulomb")
+    r2 = RadialFunction.from_callable(lambda r: r * r, space.lam,
+                                      space.n_max, name="r2")
+    ops = [space.radial(), space.radial_multiplication(r2),
+           space.free_hamiltonian(), space.laplacian(), space.velocity4(),
+           space.velocity4_cross_form(), space.hamiltonian(coulomb),
+           space.casimir2()]
+    for k in (1, 2, 3):
+        ops += [space.angular_momentum(k), space.position(k),
+                space.position_left(k), space.position_right(k),
+                space.velocity(k), space.velocity_w_form(k), space.w_vector(k),
+                space.acceleration(k, coulomb),
+                space.acceleration_decomposed(k, r2)]
+    ops += [space.pauli_lubanski(a) for a in (1, 2, 3, 4)]
+    ops += [space.so4_generator(a, b) for a in range(1, 5) for b in range(1, 5)]
+    return ops
+
+
+@pytest.mark.parametrize("kappa", [-1, 0, 1, 2])
+def test_compiled_path_matches_tree_walk(kappa):
+    import scipy.sparse as sp
+
+    from fuzzylab import identities as idn
+    from fuzzylab.algebra import to_superop
+
+    space = Space(10, 0.3)
+    ops = _every_space_operator(space) + [to_superop(idn.velocity_op(2), space)]
+    for t, op in enumerate(ops):
+        psi = space.random_state(500 + t, kappa, 8)
+        dense = op(psi).matrix
+        walked = op(space.state(sp.csr_matrix(psi.matrix))).matrix.toarray()
+        # relative to the output, or to the input where the output vanishes
+        # (the Pauli-Lubanski components on charge-zero states)
+        scale = max(np.abs(walked).max(), psi.absmax())
+        assert np.abs(dense - walked).max() <= 1e-13 * scale, (op.name, kappa)
+
+
+def test_space_operators_are_memoized():
+    space = Space(6, 0.5)
+    pot = RadialFunction.from_callable(lambda r: -1.0 / r, 0.5, 6, name="c")
+    same = RadialFunction.from_callable(lambda r: -1.0 / r, 0.5, 6, name="c")
+    other = RadialFunction.from_callable(lambda r: r, 0.5, 6, name="c")
+    assert space.velocity(2) is space.velocity(2)
+    assert space.velocity(2) is not space.velocity(3)
+    assert space.hamiltonian(pot) is space.hamiltonian(same)
+    assert space.hamiltonian(pot) is not space.hamiltonian(other)
+    assert space.hamiltonian(None) is space.free_hamiltonian()
+    # memoized operators keep their declared names and bandwidths
+    assert (space.hamiltonian(pot).name, space.hamiltonian(pot).bandwidth) \
+        == ("H0+U", 1)
+    assert (space.casimir2().name, space.casimir2().bandwidth) == ("C2", 2)
+
+
+def test_compiled_map_is_cached_per_charge():
+    space = Space(6, 0.5)
+    h0 = space.free_hamiltonian()
+    psi = space.random_state(1, 0, 5)
+    h0(psi)
+    first = h0.packed_matrix(0)
+    h0(space.random_state(2, 0, 5))
+    assert h0.packed_matrix(0) is first
+    assert first.shape == (space.basis.packing(0).size,) * 2
+    assert set(h0._compiled) == {0}
+
+
+def test_mixed_charge_states_apply_every_charge():
+    import scipy.sparse as sp
+    space = Space(8, 0.4)
+    mixed = space.random_state(1, 0, 6) + 0.5 * space.random_state(2, 1, 6) \
+        - space.random_state(3, -2, 6)
+    assert mixed.charges == (-2, 0, 1)
+    unlabeled = NCState(space.basis, mixed.matrix.copy())
+    for op in (space.free_hamiltonian(), space.velocity(1), space.position(3),
+               space.ladder("R", 2, True)):
+        walked = op(space.state(sp.csr_matrix(mixed.matrix))).matrix.toarray()
+        for psi in (mixed, unlabeled):
+            got = op(psi)
+            assert np.abs(got.matrix - walked).max() <= \
+                1e-13 * np.abs(walked).max(), op.name
+            # the charges an output carries cover every nonzero entry
+            assert set(space.basis.charges(got.matrix)) <= set(got.charges)

@@ -257,3 +257,35 @@ def test_banded_reduction_matches_full_reference(n_max, lam):
                     want = _reference_reduce(space, sec, op)
                     err = np.abs(got - want).max() / np.abs(want).max()
                     assert err <= 1e-13, (op.name, j, boundary, err)
+
+
+def _probed_kappa0_spectrum(space, potential):
+    """The unit-column probe full_kappa0_spectrum replaced (reference): apply
+    H to every charge-zero unit matrix, here as a sparse state, so the probe
+    runs the tree walk and not the compiled matrix it checks."""
+    import scipy.sparse as sp
+    basis = space.basis
+    shells = basis.shells
+    rows, cols = np.nonzero(shells[:, None] == shells[None, :])
+    h = space.hamiltonian(potential)
+    big = np.zeros((len(rows), len(rows)), dtype=complex)
+    for col, (i, k) in enumerate(zip(rows, cols)):
+        e = sp.csr_matrix(([1.0 + 0.0j], ([i], [k])),
+                          shape=(basis.dim, basis.dim))
+        big[:, col] = h(space.state(e)).matrix.toarray()[rows, cols]
+    weights = np.sqrt(space.r_diag[rows])
+    symm = (weights[:, None] * big) / weights[None, :]
+    symm = 0.5 * (symm + symm.conj().T)
+    return np.linalg.eigvalsh(symm)
+
+
+@pytest.mark.parametrize("n_max,lam", [(4, 0.5), (6, 0.1), (8, 0.3)])
+def test_compiled_brute_force_matches_unit_column_probe(n_max, lam):
+    space = Space(n_max, lam)
+    pot = RadialFunction.from_callable(lambda r: -1.0 / r, lam, n_max,
+                                       name="coulomb")
+    for potential in (None, pot):
+        got = spc.full_kappa0_spectrum(space, potential)
+        want = _probed_kappa0_spectrum(space, potential)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale
