@@ -116,8 +116,13 @@ class FockBasis:
         """Charges shell(i) - shell(k) of the nonzero entries of a dense
         matrix, found block by block."""
         starts = np.arange(self.n_max + 1) * np.arange(1, self.n_max + 2) // 2
-        blocks = np.logical_or.reduceat(matrix != 0, starts, axis=0)
-        blocks = np.logical_or.reduceat(blocks, starts, axis=1)
+        # one bit per real and imaginary part, packed eight to a byte, so
+        # the reduction over each row shell runs on bytes
+        parts = np.ascontiguousarray(matrix, dtype=complex).view(float)
+        bits = np.packbits(parts != 0, axis=1)
+        rows = np.bitwise_or.reduceat(bits, starts, axis=0)
+        rows = np.unpackbits(rows, axis=1, count=parts.shape[1])
+        blocks = np.logical_or.reduceat(rows, 2 * starts, axis=1)
         left, right = np.nonzero(blocks)
         return np.unique(left - right)
 
@@ -216,15 +221,11 @@ class NCState:
 
     Physical (scalar) states have charge kappa = 0: only blocks with equal
     left/right total occupation are populated, so [N, psi] = 0.  The matrix
-    may be dense or sparse; shell bookkeeping works on either.  States are
-    not modified in place: ``charges``, when known, is a sorted tuple that
-    holds the charge of every nonzero entry (it may hold more), and lets a
-    superoperator skip scanning the matrix for them.
+    may be dense or sparse; shell bookkeeping works on either.
     """
 
     basis: FockBasis
     matrix: Matrix
-    charges: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def dense(self) -> np.ndarray:
         if sp.issparse(self.matrix):
@@ -260,28 +261,22 @@ class NCState:
 
     def __add__(self, other: "NCState") -> "NCState":
         _check_same_basis(self, other)
-        return NCState(self.basis, self.matrix + other.matrix,
-                       _union(self.charges, other.charges))
+        return NCState(self.basis, self.matrix + other.matrix)
 
     def __sub__(self, other: "NCState") -> "NCState":
         _check_same_basis(self, other)
-        return NCState(self.basis, self.matrix - other.matrix,
-                       _union(self.charges, other.charges))
+        return NCState(self.basis, self.matrix - other.matrix)
 
     def __mul__(self, scalar: complex) -> "NCState":
-        return NCState(self.basis, self.matrix * scalar, self.charges)
+        return NCState(self.basis, self.matrix * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "NCState":
-        return NCState(self.basis, -self.matrix, self.charges)
+        return NCState(self.basis, -self.matrix)
 
     def absmax(self) -> float:
         return _absmax(self.matrix)
-
-
-def _union(a: Optional[tuple], b: Optional[tuple]) -> Optional[tuple]:
-    return None if a is None or b is None else tuple(sorted(set(a) | set(b)))
 
 
 def _check_same_basis(a: NCState, b: NCState) -> None:
@@ -360,7 +355,7 @@ def random_state(basis: FockBasis, seed: int, kappa: int, support_max: int,
         sl, sr = basis.shell_slice(nl), basis.shell_slice(nr)
         shape = (sl.stop - sl.start, sr.stop - sr.start)
         m[sl, sr] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    state = NCState(basis, m, (kappa,))
+    state = NCState(basis, m)
     nrm = w.norm(state)
     if nrm == 0.0:
         raise ValueError("empty block set for the requested (kappa, support_max)")
@@ -379,12 +374,12 @@ def interior_projection(psi: NCState, margin: int) -> NCState:
         keep = (shells[coo.row] <= cut) & (shells[coo.col] <= cut)
         out = sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
                             shape=coo.shape).tocsr()
-        return NCState(psi.basis, out, psi.charges)
+        return NCState(psi.basis, out)
     # shells are contiguous and ascending: the kept entries form one corner
     keep = psi.basis.shell_slice(cut).stop
     out = np.zeros_like(psi.matrix)
     out[:keep, :keep] = psi.matrix[:keep, :keep]
-    return NCState(psi.basis, out, psi.charges)
+    return NCState(psi.basis, out)
 
 
 def state_to_text(psi: NCState, tol: float = 0.0) -> str:

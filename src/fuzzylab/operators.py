@@ -94,7 +94,7 @@ class SuperOp:
         m = psi.matrix
         if sp.issparse(m):
             return NCState(psi.basis, self._walk(m))
-        return NCState(psi.basis, *self._apply_packed(m, psi.charges))
+        return NCState(psi.basis, self._apply_packed(m))
 
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
         return SuperOp(self.basis, "compose", (self, other),
@@ -164,13 +164,13 @@ class SuperOp:
         size = self.basis.packing(kappa).size
         return outs.get(kappa, sp.csr_matrix((size, size), dtype=complex))
 
-    def _apply_packed(self, m: np.ndarray, charges: Optional[tuple]):
-        """Gather each charge's packed vector, one matvec, scatter; returns
-        the dense output and its charges."""
+    def _apply_packed(self, m: np.ndarray) -> np.ndarray:
+        """Gather each charge's packed vector, one matvec, scatter."""
         basis = self.basis
-        src = np.ascontiguousarray(m).reshape(-1)
+        m = np.ascontiguousarray(m)
+        src = m.reshape(-1)
         packed = {}
-        for kappa in basis.charges(m) if charges is None else charges:
+        for kappa in basis.charges(m):
             x = src[basis.packing(kappa).flat]
             outs, checks = self._compile(kappa)
             if any(np.any(c @ x) for c in checks):
@@ -181,7 +181,7 @@ class SuperOp:
         out = np.zeros(src.size, dtype=complex)
         for k, y in packed.items():
             out[basis.packing(k).flat] = y  # write-only: no read of fresh pages
-        return out.reshape(m.shape), tuple(sorted(packed))
+        return out.reshape(m.shape)
 
     def _compile(self, kappa: int, keep: bool = True):
         """(maps, checks) on packed charge-kappa input: ``maps[k]`` takes it

@@ -253,3 +253,11 @@ def test_packing_layout_and_charge_census():
     mixed = random_state(basis, 4, 1, 5, w) + random_state(basis, 5, -2, 5, w)
     assert list(basis.charges(mixed.matrix)) == [-2, 1]
     assert list(basis.charges(np.zeros((basis.dim, basis.dim)))) == []
+    # one entry, seen through its imaginary part alone; a NaN counts, a
+    # negative zero does not
+    lone = -np.zeros((basis.dim, basis.dim), dtype=complex)
+    lone[basis.index[(0, 3)], basis.index[(1, 0)]] = 1e-300j
+    assert list(basis.charges(lone)) == [2]
+    lone[basis.index[(0, 0)], basis.index[(4, 1)]] = np.nan
+    assert list(basis.charges(lone)) == [-5, 2]
+    assert list(basis.charges(lone.real.copy())) == [-5]

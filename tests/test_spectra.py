@@ -289,3 +289,89 @@ def test_compiled_brute_force_matches_unit_column_probe(n_max, lam):
         want = _probed_kappa0_spectrum(space, potential)
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+class _ClosureOp:
+    """A superoperator given by a function on the state's matrix, with the
+    products the closure-based operators made (reference for the tree walk)."""
+
+    def __init__(self, func, bandwidth):
+        self.func, self.bandwidth = func, bandwidth
+
+    def __call__(self, psi):
+        from fuzzylab.fock import NCState
+        return NCState(psi.basis, self.func(psi.matrix))
+
+
+def _closure_references(space, potential):
+    from fuzzylab.fock import PAULI
+    a, ad, rinv, lam = space.a, space.ad, space.rinv, space.lam
+    udiag = space.shell_diagonal(potential.values)
+
+    def h0(m):
+        s = None
+        for al in range(2):
+            t = a[al] @ m - m @ a[al]
+            t = ad[al] @ t - t @ ad[al]
+            s = t if s is None else s + t
+        return rinv @ s / (2.0 * lam)
+
+    def velocity(j):
+        def apply(m):
+            s = None
+            for al in range(2):
+                for be in range(2):
+                    c = PAULI[j - 1][al, be]
+                    if c == 0:
+                        continue
+                    t = ad[al] @ (a[be] @ m - m @ a[be]) \
+                        - a[be] @ (ad[al] @ m - m @ ad[al])
+                    t = c * t
+                    s = t if s is None else s + t
+            return -0.5j * (rinv @ s)
+        return apply
+
+    def v2(m):
+        s = None
+        for j in (1, 2, 3):
+            t = velocity(j)(velocity(j)(m))
+            s = t if s is None else s + t
+        return s
+
+    def l3(m):
+        x3 = space.x[2]
+        return (x3 @ m - m @ x3) / (2.0 * lam)
+
+    return [
+        (space.free_hamiltonian(), _ClosureOp(h0, 1)),
+        (space.hamiltonian(potential),
+         _ClosureOp(lambda m: h0(m) + udiag @ m, 1)),
+        (_sum_of_squares(space), _ClosureOp(v2, 2)),
+        (space.velocity4(), _ClosureOp(lambda m: m / lam - lam * h0(m), 1)),
+        (space.angular_momentum(3), _ClosureOp(l3, 0)),
+    ]
+
+
+def _sum_of_squares(space):
+    op = None
+    for k in (1, 2, 3):
+        t = space.velocity(k) @ space.velocity(k)
+        op = t if op is None else op + t
+    op.bandwidth = 2
+    return op
+
+
+@pytest.mark.parametrize("n_max,lam", [(19, 0.4), (8, 0.3)])
+def test_sector_reduction_bit_identical_to_closure_products(n_max, lam):
+    """Sparse sector states walk the operator tree with the same scipy
+    products, in the same order, as the closures did: reduced matrices agree
+    bit for bit."""
+    space = Space(n_max, lam)
+    pot = RadialFunction.from_callable(lambda r: -1.0 / r, lam, n_max,
+                                       name="coulomb")
+    for boundary in ("hard", "dirichlet"):
+        sector = spc.build_sector(space, 1, 1, boundary=boundary)
+        for op, ref in _closure_references(space, pot):
+            got = spc.reduce_superop(space, sector, op)
+            want = spc.reduce_superop(space, sector, ref)
+            assert np.array_equal(got, want), (op.name, boundary)
