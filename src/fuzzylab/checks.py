@@ -12,6 +12,7 @@ spectra, symbolic, plus the expected-nonzero diagnostics.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,10 +25,14 @@ from .report import CheckRecord, VerificationReport
 from . import identities as idn
 from . import spectra as spc
 
-__all__ = ["CheckConfig", "CHECK_IDS", "SUITES", "run_suite",
+__all__ = ["CheckConfig", "CheckSkipped", "CHECK_IDS", "SUITES", "run_suite",
            "parse_config_text", "POTENTIALS", "potential_fn"]
 
 _TINY = 1e-300
+
+
+class CheckSkipped(Exception):
+    """Raised by a runner that has nothing to measure at its grid point."""
 
 #: named central potentials available to the CLI and the suites
 POTENTIALS: Dict[str, Callable[[float], float]] = {
@@ -200,20 +205,43 @@ class _OpCache:
 
 
 def _commutator_residual(space: Space, A: SuperOp, B: SuperOp,
-                         target: Optional[Callable[[NCState], NCState]],
+                         terms: Tuple[Tuple[complex, SuperOp], ...],
                          psi: NCState, margin: int, cache: _OpCache,
                          tag: Tuple) -> float:
+    """Relative residual of [A, B] psi - sum(c * op(psi) for c, op in terms)."""
     b_psi = cache.apply(B, psi, tag)
     a_psi = cache.apply(A, psi, tag)
     ab = A(b_psi)
     ba = B(a_psi)
     diff = ab - ba
     scales = [ab, ba, psi]
-    if target is not None:
-        t = target(psi)
-        diff = diff - t
-        scales.append(t)
+    if terms:
+        target = None
+        for c, op in terms:
+            t = c * op(psi)
+            target = t if target is None else target + t
+        diff = diff - target
+        scales.append(target)
     return _rel_residual(space, diff, margin, scales)
+
+
+def _commutator_runner(auto_margin: int, rows: Callable[[Space], list]):
+    """Runner for a table of commutator rows ``(A, B, terms)``: the worst
+    residual of [A, B] = sum(c * op) over every row and random state."""
+
+    def run(space: Space, config: CheckConfig):
+        margin = _margin(config, auto_margin)
+        states = _states(space, config, margin)
+        cache = _OpCache()
+        table = rows(space)
+        worst = 0.0
+        for A, B, terms in table:
+            for t, psi in enumerate(states):
+                worst = max(worst, _commutator_residual(
+                    space, A, B, terms, psi, margin, cache, (t,)))
+        return worst, f"margin {margin}, {len(states)} states, {len(table)} rows"
+
+    return run
 
 
 # -- check registry ----------------------------------------------------------
@@ -228,6 +256,13 @@ class CheckSpec:
     kind: str = "identity"
     tol: float = 1e-10
     per_space: bool = True  # False: runs once, independent of (lam, n_max) grid
+
+
+def _commutator_check(check_id: str, statement: str, auto_margin: int,
+                      rows: Callable[[Space], list]) -> CheckSpec:
+    """One commutator check: ``rows(space)`` lists its (A, B, terms)."""
+    return CheckSpec(check_id, check_id.split(".")[0], statement,
+                     _commutator_runner(auto_margin, rows))
 
 
 # ---- kinematics (matrix level + L/X families) -------------------------------
@@ -278,205 +313,58 @@ def _run_ladder_algebra(space: Space, config: CheckConfig):
 
 
 def _run_radial_scalar(space: Space, config: CheckConfig):
-    worst = 0.0
+    worst, _detail = _lab_r(space, config)
     for xi in space.x:
         worst = max(worst, _absmax(xi @ space.r - space.r @ xi))
-    margin = _margin(config, 0)
-    states = _states(space, config, margin)
-    cache = _OpCache()
-    rop = space.radial()
-    for a in (1, 2, 3, 4):
-        for b in (1, 2, 3, 4):
-            if a >= b:
-                continue
-            lab = space.so4_generator(a, b)
-            for t, psi in enumerate(states):
-                worst = max(worst, _commutator_residual(
-                    space, lab, rop, None, psi, margin, cache, (t,)))
     return worst, "[x_j, r] = 0 and [L_ab, r] = 0"
 
 
-def _family_runner(pairs, build_ab, build_target, auto_margin):
-    """Generic commutator-family runner over index pairs and random states."""
+# ---- commutator rows: (A, B, terms) with [A, B] = sum(c * op for c, op in terms)
 
-    def run(space: Space, config: CheckConfig):
-        margin = _margin(config, auto_margin)
-        states = _states(space, config, margin)
-        cache = _OpCache()
-        worst = 0.0
-        for idx in pairs:
-            A, B = build_ab(space, idx)
-            target = build_target(space, idx) if build_target else None
-            for t, psi in enumerate(states):
-                worst = max(worst, _commutator_residual(
-                    space, A, B, target, psi, margin, cache, (t,)))
-        return worst, f"margin {margin}, {len(states)} states"
-
-    return run
+_PAIRS3 = ((1, 2), (1, 3), (2, 3))
+_PAIRS4 = tuple((a, b) for a in range(1, 5) for b in range(a + 1, 5))
 
 
-def _pairs33():
-    return [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i < j]
+def _eps_rows(A, B, target, factor):
+    """[A_i, B_j] = factor eps_ijk target_k for every i < j."""
+    return [(A(i), B(j), tuple((factor * EPS3[i - 1, j - 1, k - 1], target(k))
+                               for k in (1, 2, 3) if EPS3[i - 1, j - 1, k - 1]))
+            for i, j in _PAIRS3]
 
 
-def _eps_combo(space, k_ops, i, j, factor=1.0):
-    terms = [(factor * EPS3[i - 1, j - 1, k - 1], k_ops(k))
-             for k in (1, 2, 3) if EPS3[i - 1, j - 1, k - 1]]
-
-    def apply(psi):
-        out = None
-        for c, op in terms:
-            t = c * op(psi)
-            out = t if out is None else out + t
-        return out if out is not None else 0.0 * psi
-
-    return apply
+def _uncertainty_rows(s: Space):
+    """[V_i, X_j] = -i delta_ij (1 - lam^2 H0)."""
+    unit = ((-1.0j, SuperOp.identity(s.basis)),
+            (1.0j * s.lam**2, s.free_hamiltonian()))
+    return [(s.velocity(i), s.position(j), unit if i == j else ())
+            for i in (1, 2, 3) for j in (1, 2, 3)]
 
 
-_FAMILIES = {
-    "kinematics.LL": (
-        "[L_i, L_j] = i eps_ijk L_k", 0,
-        lambda s, ij: (s.angular_momentum(ij[0]), s.angular_momentum(ij[1])),
-        lambda s, ij: _eps_combo(s, s.angular_momentum, ij[0], ij[1], 1.0j)),
-    "kinematics.LX": (
-        "[L_i, X_j] = i eps_ijk X_k", 0,
-        lambda s, ij: (s.angular_momentum(ij[0]), s.position(ij[1])),
-        lambda s, ij: _eps_combo(s, s.position, ij[0], ij[1], 1.0j)),
-    "kinematics.XX": (
-        "[X_i, X_j] = i lam^2 eps_ijk L_k", 0,
-        lambda s, ij: (s.position(ij[0]), s.position(ij[1])),
-        lambda s, ij: _eps_combo(s, s.angular_momentum, ij[0], ij[1],
-                                 1.0j * s.lam**2)),
-    "velocity.LV": (
-        "[L_i, V_j] = i eps_ijk V_k", 1,
-        lambda s, ij: (s.angular_momentum(ij[0]), s.velocity(ij[1])),
-        lambda s, ij: _eps_combo(s, s.velocity, ij[0], ij[1], 1.0j)),
-    "velocity.VV": (
-        "[V_i, V_j] = 0", 2,
-        lambda s, ij: (s.velocity(ij[0]), s.velocity(ij[1])),
-        None),
-    "velocity.LV4": (
-        "[L_i, V_4] = 0", 1,
-        lambda s, ij: (s.angular_momentum(ij[0]), s.velocity4()),
-        None),
-    "velocity.VV4": (
-        "[V_i, V_4] = 0", 2,
-        lambda s, ij: (s.velocity(ij[0]), s.velocity4()),
-        None),
-}
+def _so4_rows(s: Space):
+    """[L_ab, L_cd] = i (d_ac L_bd - d_bc L_ad - d_ad L_bc + d_bd L_ac)."""
+    rows = []
+    for a, b in _PAIRS4:
+        for c, d in _PAIRS4:
+            terms = tuple((1.0j * sgn, s.so4_generator(p, q))
+                          for (da, db), (p, q), sgn in (((a, c), (b, d), 1),
+                                                        ((b, c), (a, d), -1),
+                                                        ((a, d), (b, c), -1),
+                                                        ((b, d), (a, c), 1))
+                          if da == db and p != q)
+            rows.append((s.so4_generator(a, b), s.so4_generator(c, d), terms))
+    return rows
 
 
-def _run_uncertainty(space: Space, config: CheckConfig):
-    margin = _margin(config, 1)
-    states = _states(space, config, margin)
-    cache = _OpCache()
-    h0 = space.free_hamiltonian()
-    lam = space.lam
-    worst = 0.0
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            vi, xj = space.velocity(i), space.position(j)
-            delta = 1.0 if i == j else 0.0
-
-            def target(psi, delta=delta):
-                if delta == 0.0:
-                    return 0.0 * psi
-                return -1.0j * delta * (psi - lam**2 * h0(psi))
-
-            for t, psi in enumerate(states):
-                worst = max(worst, _commutator_residual(
-                    space, vi, xj, target, psi, margin, cache, (t,)))
-    return worst, f"margin {margin}, all (i, j) pairs"
+def _e4_lv_rows(s: Space):
+    """[L_ab, V_c] = i (d_ac V_b - d_bc V_a); a < b, so one delta at most."""
+    return [(s.so4_generator(a, b), s.velocity_so4(c),
+             ((1.0j, s.velocity_so4(b)),) if a == c else
+             ((-1.0j, s.velocity_so4(a)),) if b == c else ())
+            for a, b in _PAIRS4 for c in (1, 2, 3, 4)]
 
 
-def _run_xv4(space: Space, config: CheckConfig):
-    margin = _margin(config, 1)
-    states = _states(space, config, margin)
-    cache = _OpCache()
-    lam = space.lam
-    worst = 0.0
-    for i in (1, 2, 3):
-        xi, v4, vi = space.position(i), space.velocity4(), space.velocity(i)
-
-        def target(psi, vi=vi):
-            return -1.0j * lam * vi(psi)
-
-        for t, psi in enumerate(states):
-            worst = max(worst, _commutator_residual(
-                space, xi, v4, target, psi, margin, cache, (t,)))
-    return worst, "[X_i, V_4] = -i lam V_i"
-
-
-def _run_so4_algebra(space: Space, config: CheckConfig):
-    margin = _margin(config, 0)
-    states = _states(space, config, margin)
-    cache = _OpCache()
-    worst = 0.0
-    idxs = [(a, b) for a in range(1, 5) for b in range(1, 5) if a < b]
-    ops = {p: space.so4_generator(*p) for p in idxs}
-    for (a, b) in idxs:
-        for (c, d) in idxs:
-            # i (d_ac L_bd - d_bc L_ad - d_ad L_bc + d_bd L_ac)
-            terms = []
-            for (da, db), (p, q), sgn in (((a, c), (b, d), 1),
-                                          ((b, c), (a, d), -1),
-                                          ((a, d), (b, c), -1),
-                                          ((b, d), (a, c), 1)):
-                if da == db and p != q:
-                    terms.append((sgn, (p, q)))
-
-            def target(psi, terms=tuple(terms)):
-                out = None
-                for sgn, key in terms:
-                    op = space.so4_generator(*key)
-                    t = (1.0j * sgn) * op(psi)
-                    out = t if out is None else out + t
-                return out if out is not None else 0.0 * psi
-
-            for t, psi in enumerate(states):
-                worst = max(worst, _commutator_residual(
-                    space, ops[(a, b)], ops[(c, d)], target, psi, margin,
-                    cache, (t,)))
-    return worst, "standard so(4) structure constants, all generator pairs"
-
-
-def _run_e4_lv(space: Space, config: CheckConfig):
-    margin = _margin(config, 1)
-    states = _states(space, config, margin)
-    cache = _OpCache()
-    worst = 0.0
-    idxs = [(a, b) for a in range(1, 5) for b in range(1, 5) if a < b]
-    for (a, b) in idxs:
-        lab = space.so4_generator(a, b)
-        for c in range(1, 5):
-            def target(psi, a=a, b=b, c=c):
-                out = None
-                if a == c:
-                    out = 1.0j * space.velocity_so4(b)(psi)
-                if b == c:
-                    t = -1.0j * space.velocity_so4(a)(psi)
-                    out = t if out is None else out + t
-                return out if out is not None else 0.0 * psi
-
-            vc = space.velocity_so4(c)
-            for t, psi in enumerate(states):
-                worst = max(worst, _commutator_residual(
-                    space, lab, vc, target, psi, margin, cache, (t,)))
-    return worst, "[L_ab, V_c] = i (d_ac V_b - d_bc V_a), all a<b, c"
-
-
-def _run_e4_vv(space: Space, config: CheckConfig):
-    margin = _margin(config, 2)
-    states = _states(space, config, margin)
-    cache = _OpCache()
-    worst = 0.0
-    for a in range(1, 5):
-        for b in range(a + 1, 5):
-            va, vb = space.velocity_so4(a), space.velocity_so4(b)
-            for t, psi in enumerate(states):
-                worst = max(worst, _commutator_residual(
-                    space, va, vb, None, psi, margin, cache, (t,)))
-    return worst, "[V_a, V_b] = 0, all a < b <= 4"
+_lab_r = _commutator_runner(0, lambda s: [(s.so4_generator(a, b), s.radial(), ())
+                                          for a, b in _PAIRS4])
 
 
 # ---- velocity action checks ---------------------------------------------------
@@ -599,6 +487,16 @@ def _run_kzero_identity(space: Space, config: CheckConfig):
 # ---- quadratic relations -------------------------------------------------------
 
 
+def _v_squared(space: Space, psi: NCState) -> NCState:
+    """V^2 psi = sum_j V_j V_j psi, summed in order j = 1, 2, 3."""
+    v2 = None
+    for j in (1, 2, 3):
+        vj = space.velocity(j)
+        t = vj(vj(psi))
+        v2 = t if v2 is None else v2 + t
+    return v2
+
+
 def _run_v2h(space: Space, config: CheckConfig):
     margin = _margin(config, 2)
     states = _states(space, config, margin)
@@ -606,11 +504,7 @@ def _run_v2h(space: Space, config: CheckConfig):
     lam = space.lam
     worst = 0.0
     for psi in states:
-        v2 = None
-        for j in (1, 2, 3):
-            vj = space.velocity(j)
-            t = vj(vj(psi))
-            v2 = t if v2 is None else v2 + t
+        v2 = _v_squared(space, psi)
         h = h0(psi)
         want = 2.0 * h - lam**2 * h0(h)
         worst = max(worst, _rel_residual(space, v2 - want, margin, [v2, want]))
@@ -625,12 +519,7 @@ def _run_vvh(space: Space, config: CheckConfig):
     worst = 0.0
     for psi in states:
         lhs = v4(v4(psi))
-        v2 = None
-        for j in (1, 2, 3):
-            vj = space.velocity(j)
-            t = vj(vj(psi))
-            v2 = t if v2 is None else v2 + t
-        rhs = (1.0 / lam**2) * psi - v2
+        rhs = (1.0 / lam**2) * psi - _v_squared(space, psi)
         worst = max(worst, _rel_residual(space, lhs - rhs, margin, [lhs, rhs]))
     return worst, "(1/lam - lam H0)^2 = 1/lam^2 - V^2"
 
@@ -662,27 +551,15 @@ def _run_pauli_lubanski(space: Space, config: CheckConfig):
     return worst, "Lambda_a = 0 on charge-zero states, a = 1..4"
 
 
-def _run_vh0(space: Space, config: CheckConfig):
-    margin = _margin(config, 2)
-    states = _states(space, config, margin)
-    cache = _OpCache()
-    h0 = space.free_hamiltonian()
-    worst = 0.0
-    for i in (1, 2, 3):
-        vi = space.velocity(i)
-        for t, psi in enumerate(states):
-            worst = max(worst, _commutator_residual(
-                space, vi, h0, None, psi, margin, cache, (t,)))
-    return worst, "[V_i, H0] = 0"
-
-
 # ---- acceleration ---------------------------------------------------------------
 
 
-def _acc_worst(space: Space, config: CheckConfig, fn, name):
+def _run_acceleration(name: str, space: Space, config: CheckConfig):
+    """-i[V_i, U] against its decomposition for the potential ``name``."""
     margin = max(_margin(config, 2), 2)
     states = _states(space, config, margin)
-    pot = RadialFunction.from_callable(fn, space.lam, space.n_max, name=name)
+    pot = RadialFunction.from_callable(POTENTIALS[name], space.lam, space.n_max,
+                                       name=name)
     worst = 0.0
     for i in (1, 2, 3):
         comm = space.acceleration(i, pot)
@@ -690,19 +567,7 @@ def _acc_worst(space: Space, config: CheckConfig, fn, name):
         for psi in states:
             a, b = comm(psi), deco(psi)
             worst = max(worst, _rel_residual(space, a - b, margin, [a, b, psi]))
-    return worst
-
-
-def _run_acc_r2(space, config):
-    return _acc_worst(space, config, POTENTIALS["r2"], "r2"), "U = r^2"
-
-
-def _run_acc_coulomb(space, config):
-    return _acc_worst(space, config, POTENTIALS["coulomb"], "coulomb"), "U = -1/r"
-
-
-def _run_acc_exp(space, config):
-    return _acc_worst(space, config, POTENTIALS["exp"], "exp"), "U = exp(-r)"
+    return worst, f"margin {margin}, potential {name}"
 
 
 def _run_acc_constant(space: Space, config: CheckConfig):
@@ -806,10 +671,12 @@ def _run_spectrum_bound(space: Space, config: CheckConfig):
 
 
 def _run_v2_consistency(space: Space, config: CheckConfig):
+    sectors = [j for j in (0, 1, 2) if j <= space.n_max - 3]
+    if not sectors:
+        raise CheckSkipped(f"no sector j = 0, 1, 2 has j <= n_max - 3 "
+                           f"(n_max {space.n_max})")
     worst = 0.0
-    for j in (0, 1, 2):
-        if j > space.n_max - 3:
-            continue
+    for j in sectors:
         for row in spc.v2_consistency(space, j):
             worst = max(worst, row["interior_residual"] / row["scale"])
     return worst, "sector V^2 eigen-action matches 2E - lam^2 E^2 (interior rows)"
@@ -824,11 +691,13 @@ def _config_potential(space: Space, config: CheckConfig) -> Optional[RadialFunct
 
 
 def _run_m_independence(space: Space, config: CheckConfig):
+    sectors = [j for j in (1, 2) if j <= space.n_max - 1]
+    if not sectors:
+        raise CheckSkipped(f"no sector j = 1, 2 has j <= n_max - 1 "
+                           f"(n_max {space.n_max})")
     worst = 0.0
     pot = _config_potential(space, config)
-    for j in (1, 2):
-        if j > space.n_max - 1:
-            continue
+    for j in sectors:
         mats = []
         for m in range(-j, j + 1):
             sector = spc.build_sector(space, j, m, boundary="dirichlet")
@@ -972,11 +841,6 @@ def _run_kappa1_diag(space: Space, config: CheckConfig):
 # -- registry assembly -------------------------------------------------------------
 
 
-def _family_spec(check_id, statement, margin, build_ab, build_target):
-    return CheckSpec(check_id, check_id.split(".")[0], statement,
-                     _family_runner(_pairs33(), build_ab, build_target, margin))
-
-
 CHECKS: List[CheckSpec] = [
     CheckSpec("kinematics.coordinates", "kinematics",
               "[x_i, x_j] = 2 i lam eps_ijk x_k (matrix level)",
@@ -988,19 +852,47 @@ CHECKS: List[CheckSpec] = [
               _run_ladder_algebra, tol=1e-12),
     CheckSpec("kinematics.radial_scalar", "kinematics",
               "[x_j, r] = 0 and [L_ab, r] = 0", _run_radial_scalar),
-] + [
-    _family_spec(cid, st, mg, ab, tg)
-    for cid, (st, mg, ab, tg) in _FAMILIES.items()
-] + [
-    CheckSpec("velocity.uncertainty", "velocity",
-              "[V_i, X_j] = -i delta_ij (1 - lam^2 H0)", _run_uncertainty),
-    CheckSpec("velocity.XV4", "velocity", "[X_i, V_4] = -i lam V_i", _run_xv4),
-    CheckSpec("e4.so4", "e4",
-              "[L_ab, L_cd] = i(d_ac L_bd - d_bc L_ad - d_ad L_bc + d_bd L_ac)",
-              _run_so4_algebra),
-    CheckSpec("e4.LV", "e4", "[L_ab, V_c] = i (d_ac V_b - d_bc V_a)",
-              _run_e4_lv),
-    CheckSpec("e4.VV", "e4", "[V_a, V_b] = 0 for a, b = 1..4", _run_e4_vv),
+    _commutator_check(
+        "kinematics.LL", "[L_i, L_j] = i eps_ijk L_k", 0,
+        lambda s: _eps_rows(s.angular_momentum, s.angular_momentum,
+                            s.angular_momentum, 1.0j)),
+    _commutator_check(
+        "kinematics.LX", "[L_i, X_j] = i eps_ijk X_k", 0,
+        lambda s: _eps_rows(s.angular_momentum, s.position, s.position, 1.0j)),
+    _commutator_check(
+        "kinematics.XX", "[X_i, X_j] = i lam^2 eps_ijk L_k", 0,
+        lambda s: _eps_rows(s.position, s.position, s.angular_momentum,
+                            1.0j * s.lam**2)),
+    _commutator_check(
+        "velocity.LV", "[L_i, V_j] = i eps_ijk V_k", 1,
+        lambda s: _eps_rows(s.angular_momentum, s.velocity, s.velocity, 1.0j)),
+    _commutator_check(
+        "velocity.VV", "[V_i, V_j] = 0", 2,
+        lambda s: [(s.velocity(i), s.velocity(j), ()) for i, j in _PAIRS3]),
+    _commutator_check(
+        "velocity.LV4", "[L_i, V_4] = 0", 1,
+        lambda s: [(s.angular_momentum(i), s.velocity4(), ())
+                   for i, _j in _PAIRS3]),
+    _commutator_check(
+        "velocity.VV4", "[V_i, V_4] = 0", 2,
+        lambda s: [(s.velocity(i), s.velocity4(), ()) for i, _j in _PAIRS3]),
+    _commutator_check(
+        "velocity.uncertainty", "[V_i, X_j] = -i delta_ij (1 - lam^2 H0)", 1,
+        _uncertainty_rows),
+    _commutator_check(
+        "velocity.XV4", "[X_i, V_4] = -i lam V_i", 1,
+        lambda s: [(s.position(i), s.velocity4(),
+                    ((-1.0j * s.lam, s.velocity(i)),)) for i in (1, 2, 3)]),
+    _commutator_check(
+        "e4.so4",
+        "[L_ab, L_cd] = i(d_ac L_bd - d_bc L_ad - d_ad L_bc + d_bd L_ac)", 0,
+        _so4_rows),
+    _commutator_check(
+        "e4.LV", "[L_ab, V_c] = i (d_ac V_b - d_bc V_a)", 1, _e4_lv_rows),
+    _commutator_check(
+        "e4.VV", "[V_a, V_b] = 0 for a, b = 1..4", 2,
+        lambda s: [(s.velocity_so4(a), s.velocity_so4(b), ())
+                   for a, b in _PAIRS4]),
     CheckSpec("velocity.on_coordinates", "velocity", "V_i x_j = -i delta_ij",
               _run_velocity_on_coordinates),
     CheckSpec("velocity.on_radial", "velocity",
@@ -1029,15 +921,18 @@ CHECKS: List[CheckSpec] = [
               _run_casimir2),
     CheckSpec("quadratic.pauli_lubanski", "quadratic",
               "Lambda_a = 0 (a = 1..4), hence C_4 = 0", _run_pauli_lubanski),
-    CheckSpec("quadratic.VH0", "quadratic", "[V_i, H0] = 0", _run_vh0),
+    _commutator_check(
+        "quadratic.VH0", "[V_i, H0] = 0", 2,
+        lambda s: [(s.velocity(i), s.free_hamiltonian(), ()) for i in (1, 2, 3)]),
     CheckSpec("acceleration.r2", "acceleration",
-              "-i[V_i, U] equals its decomposition, U = r^2", _run_acc_r2),
+              "-i[V_i, U] equals its decomposition, U = r^2",
+              functools.partial(_run_acceleration, "r2")),
     CheckSpec("acceleration.coulomb", "acceleration",
               "-i[V_i, U] equals its decomposition, U = -1/r",
-              _run_acc_coulomb),
+              functools.partial(_run_acceleration, "coulomb")),
     CheckSpec("acceleration.exp", "acceleration",
               "-i[V_i, U] equals its decomposition, U = exp(-r)",
-              _run_acc_exp),
+              functools.partial(_run_acceleration, "exp")),
     CheckSpec("acceleration.constant", "acceleration",
               "constant potential gives zero acceleration",
               _run_acc_constant, tol=1e-12),
@@ -1089,12 +984,15 @@ def run_suite(config: CheckConfig) -> VerificationReport:
     """Execute the configured suites over the (lam, n_max) grid.
 
     A bad config raises ValueError before any check runs; a ValueError
-    inside a check gives its record status "error", which fails the run
-    (diagnostics included).
+    inside a check gives its record status "error" and a CheckSkipped gives
+    status "skip", either of which fails the run (diagnostics included).
+    Every check at one grid point gets the same Space, so each operator
+    compiles once per grid point.
     """
     _validate_config(config)
     wanted = set(SUITES) if "all" in config.suites else set(config.suites)
     report = VerificationReport(config=config.as_dict())
+    spaces: Dict[Tuple[float, int], Space] = {}
     for check in CHECKS:
         if check.suite not in wanted:
             continue
@@ -1109,8 +1007,9 @@ def run_suite(config: CheckConfig) -> VerificationReport:
             params = {"lam": lam, "n_max": n_max, "seed": config.seed}
             status = ""
             try:
-                space = Space(n_max, lam)
-                residual, detail = check.runner(space, config)
+                if (lam, n_max) not in spaces:
+                    spaces[lam, n_max] = Space(n_max, lam)
+                residual, detail = check.runner(spaces[lam, n_max], config)
                 if check.kind == "diagnostic":
                     passed = residual > tol
                 else:
@@ -1118,6 +1017,9 @@ def run_suite(config: CheckConfig) -> VerificationReport:
             except ValueError as exc:
                 residual, detail, passed = float("nan"), f"error: {exc}", False
                 status = "error"
+            except CheckSkipped as exc:
+                residual, detail, passed = float("nan"), f"skipped: {exc}", False
+                status = "skip"
             ms = (time.perf_counter() - t0) * 1e3
             report.records.append(CheckRecord(
                 check_id=check.check_id, suite=check.suite,

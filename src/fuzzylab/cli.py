@@ -209,6 +209,16 @@ def _spectrum_payload(result: spc.SpectrumResult) -> dict:
     }
 
 
+def _convergence_csv(records) -> List[str]:
+    """Header and one line per convergence record, without newlines."""
+    lines = ["lam,n_max,j,level,E_nc,E_oracle,gap"]
+    for rec in records:
+        d = rec.as_dict()
+        lines.append(f"{d['lam']!r},{d['n_max']},{d['j']},{d['level']},"
+                     f"{d['E_nc']!r},{d['E_oracle']!r},{d['gap']!r}")
+    return lines
+
+
 def _cmd_spectrum(args) -> int:
     try:
         lams = [float(v) for v in (args.lam or "0.2").split(",")]
@@ -260,11 +270,7 @@ def _cmd_spectrum(args) -> int:
                                         args.potential)
         path = f"{args.out}.convergence.csv"
         with open(path, "w") as fh:
-            fh.write("lam,n_max,j,level,E_nc,E_oracle,gap\n")
-            for rec in records:
-                d = rec.as_dict()
-                fh.write(f"{d['lam']!r},{d['n_max']},{d['j']},{d['level']},"
-                         f"{d['E_nc']!r},{d['E_oracle']!r},{d['gap']!r}\n")
+            fh.write("\n".join(_convergence_csv(records)) + "\n")
         wrote.append(path)
     for path in wrote:
         print(f"wrote {path}")
@@ -281,11 +287,7 @@ def _cmd_converge(args) -> int:
         return 2
     records = spc.convergence_study(schedule, j, fn,
                                     args.potential, levels=args.levels)
-    lines = ["lam,n_max,j,level,E_nc,E_oracle,gap"]
-    for rec in records:
-        d = rec.as_dict()
-        lines.append(f"{d['lam']!r},{d['n_max']},{d['j']},{d['level']},"
-                     f"{d['E_nc']!r},{d['E_oracle']!r},{d['gap']!r}")
+    lines = _convergence_csv(records)
     # informational: how the deepest level scales with lam (no verdict
     # attached; flags any bound levels that vanish in the commutative limit)
     bound = [r for r in records if r.energy_nc < 0]

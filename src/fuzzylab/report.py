@@ -46,8 +46,9 @@ class CheckRecord:
     "diagnostic" for expected-nonzero observations (a quiet one never fails
     a run).  ``statement`` quotes the relation being verified.  ``status`` is
     "pass" or "fail" for an identity, "observed" or "quiet" for a diagnostic
-    (derived from ``passed`` when not given), and "error" for a check whose
-    own code raised; an error fails the run whatever the kind.
+    (derived from ``passed`` when not given), "error" for a check whose
+    own code raised, and "skip" for a check that declared it had nothing to
+    measure; an error or a skip fails the run whatever the kind.
     """
 
     check_id: str
@@ -78,9 +79,10 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        """True iff every non-diagnostic check passed and no check errored."""
+        """True iff every non-diagnostic check passed and no check errored
+        or skipped."""
         return all(r.passed for r in self.records if r.kind != "diagnostic") \
-            and not any(r.status == "error" for r in self.records)
+            and not any(r.status in ("error", "skip") for r in self.records)
 
     def summary(self) -> dict:
         checks = [r for r in self.records if r.kind != "diagnostic"]
@@ -92,6 +94,7 @@ class VerificationReport:
             "diagnostics": len(diags),
             "diagnostics_observed": sum(r.passed for r in diags),
             "errors": sum(r.status == "error" for r in self.records),
+            "skipped": sum(r.status == "skip" for r in self.records),
             "environment": environment_fingerprint(),
         }
 
@@ -121,7 +124,8 @@ class VerificationReport:
         lines = ["verification report"]
         for r in self.records:
             mark = {"pass": "pass", "fail": "FAIL", "observed": "seen",
-                    "quiet": "quiet", "error": "ERROR"}[r.status]
+                    "quiet": "quiet", "error": "ERROR",
+                    "skip": "SKIP"}[r.status]
             params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
             lines.append(f"[{mark}] {r.check_id}  ({params})")
             lines.append(f"       {r.statement}")
@@ -132,7 +136,8 @@ class VerificationReport:
         s = self.summary()
         lines.append(f"summary: {s['passed']}/{s['checks']} checks passed, "
                      f"{s['diagnostics_observed']}/{s['diagnostics']} "
-                     f"diagnostics observed, {s['errors']} errors")
+                     f"diagnostics observed, {s['errors']} errors, "
+                     f"{s['skipped']} skipped")
         return "\n".join(lines) + "\n"
 
 
