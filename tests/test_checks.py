@@ -83,3 +83,22 @@ def test_spectra_checks_without_a_sector_skip_and_fail_the_run(capsys):
     back = report_from_json(text)
     assert not back.passed
     assert "[SKIP] spectra.m_independence" in back.to_text()
+
+
+@pytest.mark.parametrize("check_id, component", [
+    ("velocity.LV4", "angular_momentum"), ("velocity.VV4", "velocity")])
+def test_v4_commutators_cover_every_component(check_id, component,
+                                              monkeypatch):
+    applied = []
+    original = checks._commutator_residual
+
+    def spy(space, A, B, *rest):
+        applied.append(A)
+        return original(space, A, B, *rest)
+
+    monkeypatch.setattr(checks, "_commutator_residual", spy)
+    space = Space(6, 0.5)
+    spec = next(c for c in checks.CHECKS if c.check_id == check_id)
+    spec.runner(space, CheckConfig(n_states=1))
+    ops = [getattr(space, component)(i) for i in (1, 2, 3)]
+    assert applied == ops
