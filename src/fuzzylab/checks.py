@@ -13,6 +13,7 @@ spectra, symbolic, plus the expected-nonzero diagnostics.
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,6 +34,7 @@ _TINY = 1e-300
 
 class CheckSkipped(Exception):
     """Raised by a runner that has nothing to measure at its grid point."""
+
 
 #: named central potentials available to the CLI and the suites
 POTENTIALS: Dict[str, Callable[[float], float]] = {
@@ -216,10 +218,7 @@ def _commutator_residual(space: Space, A: SuperOp, B: SuperOp,
     diff = ab - ba
     scales = [ab, ba, psi]
     if terms:
-        target = None
-        for c, op in terms:
-            t = c * op(psi)
-            target = t if target is None else target + t
+        target = functools.reduce(operator.add, (c * op(psi) for c, op in terms))
         diff = diff - target
         scales.append(target)
     return _rel_residual(space, diff, margin, scales)
@@ -489,12 +488,8 @@ def _run_kzero_identity(space: Space, config: CheckConfig):
 
 def _v_squared(space: Space, psi: NCState) -> NCState:
     """V^2 psi = sum_j V_j V_j psi, summed in order j = 1, 2, 3."""
-    v2 = None
-    for j in (1, 2, 3):
-        vj = space.velocity(j)
-        t = vj(vj(psi))
-        v2 = t if v2 is None else v2 + t
-    return v2
+    vs = [space.velocity(j) for j in (1, 2, 3)]
+    return functools.reduce(operator.add, (v(v(psi)) for v in vs))
 
 
 def _run_v2h(space: Space, config: CheckConfig):
