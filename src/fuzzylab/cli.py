@@ -10,7 +10,7 @@ converge  commutative-limit study against the finite-difference oracle
 Config files use a plain-text ``key = value`` grammar (``#`` comments,
 comma-separated lists, ``tol.<check_id>`` overrides); command-line flags win
 over file values.  Exit status is zero iff every non-diagnostic check passed
-and no check (diagnostics included) raised an error.
+and no check (diagnostics included) raised an error or declared a skip.
 """
 
 from __future__ import annotations
