@@ -13,21 +13,23 @@ spectra, symbolic, plus the expected-nonzero diagnostics.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fock import EPS3, NCState, _absmax
 from .operators import RadialFunction, Space, SuperOp
-from .report import CheckRecord, VerificationReport
+from .report import FORMATS, CheckRecord, VerificationReport
 from . import identities as idn
 from . import spectra as spc
 
-__all__ = ["CheckConfig", "CheckSkipped", "CHECK_IDS", "SUITES", "run_suite",
-           "parse_config_text", "POTENTIALS", "potential_fn"]
+__all__ = ["CheckConfig", "CheckSkipped", "CHECK_IDS", "OPTIONS", "SUITES",
+           "run_suite", "parse_config_text", "POTENTIALS", "potential_fn",
+           "validate_lambda"]
 
 _TINY = 1e-300
 
@@ -45,10 +47,18 @@ POTENTIALS: Dict[str, Callable[[float], float]] = {
 }
 
 
+def validate_lambda(lam: float) -> None:
+    """Raise ValueError unless lambda is finite and > 0 (all commands)."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and > 0; got {lam!r}")
+
+
 def potential_fn(name: str, q: float = 1.0) -> Optional[Callable[[float], float]]:
     """The central potential q U(r) named ``name``; None for "free"."""
     if name not in POTENTIALS:
         raise ValueError(f"unknown potential {name!r} (have {sorted(POTENTIALS)})")
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite; got {q!r}")
     if name == "free":
         return None
     base = POTENTIALS[name]
@@ -73,78 +83,16 @@ class CheckConfig:
     fmt: str = "json"
 
     def as_dict(self) -> dict:
-        return {
-            "lams": list(self.lams), "n_maxes": list(self.n_maxes),
-            "seed": self.seed, "n_states": self.n_states,
-            "margin": self.margin, "suites": list(self.suites),
-            "potential": self.potential, "potential_q": self.potential_q,
-            "tolerance": self.tolerance,
-            "tol_overrides": dict(self.tol_overrides),
-            "out": self.out, "fmt": self.fmt,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
     def to_text(self) -> str:
         """Losslessly render the config in the plain-text grammar."""
-        lines = [
-            "lambda = " + ", ".join(repr(v) for v in self.lams),
-            "nmax = " + ", ".join(str(v) for v in self.n_maxes),
-            f"seed = {self.seed}",
-            f"states = {self.n_states}",
-            f"margin = {self.margin}",
-            f"potential = {self.potential}",
-            f"q = {self.potential_q!r}",
-            f"tolerance = {self.tolerance!r}",
-        ]
-        if self.suites:
-            lines.append("suites = " + ", ".join(self.suites))
-        for key in sorted(self.tol_overrides):
-            lines.append(f"tol.{key} = {self.tol_overrides[key]!r}")
-        if self.out is not None:
-            lines.append(f"out = {self.out}")
-        lines.append(f"format = {self.fmt}")
+        lines = [f"{opt.key} = {opt.show(getattr(self, opt.field))}"
+                 for opt in OPTIONS if getattr(self, opt.field) is not None]
+        lines += [f"tol.{key} = {value!r}"
+                  for key, value in sorted(self.tol_overrides.items())]
         return "\n".join(lines) + "\n"
-
-
-def parse_config_text(text: str) -> CheckConfig:
-    """Parse the plain-text config grammar: ``key = value`` lines, ``#``
-    comments, comma-separated lists, ``tol.<check_id> = x`` overrides."""
-    cfg = CheckConfig()
-    overrides: Dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (want key = value): {raw!r}")
-        key, val = (p.strip() for p in line.split("=", 1))
-        if key in ("lambda", "lam", "lams"):
-            cfg.lams = tuple(float(v) for v in val.split(","))
-        elif key in ("nmax", "n_max", "n_maxes"):
-            cfg.n_maxes = tuple(int(v) for v in val.split(","))
-        elif key == "seed":
-            cfg.seed = int(val)
-        elif key in ("states", "n_states"):
-            cfg.n_states = int(val)
-        elif key == "margin":
-            cfg.margin = val
-        elif key in ("suite", "suites"):
-            cfg.suites = tuple(v.strip() for v in val.split(","))
-        elif key == "potential":
-            cfg.potential = val
-        elif key in ("q", "potential_q"):
-            cfg.potential_q = float(val)
-        elif key in ("tol", "tolerance"):
-            cfg.tolerance = float(val)
-        elif key.startswith("tol."):
-            overrides[key[4:]] = float(val)
-        elif key == "out":
-            cfg.out = val
-        elif key in ("format", "fmt"):
-            cfg.fmt = val
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    cfg.tol_overrides = overrides
-    return cfg
 
 
 # -- residual helpers -----------------------------------------------------------
@@ -161,18 +109,31 @@ def _margin(config: CheckConfig, auto: int) -> int:
 
 
 def _validate_config(config: CheckConfig) -> None:
-    """Raise ValueError for a config that no check can run on."""
-    if not config.lams or not all(lam > 0 for lam in config.lams):
-        raise ValueError(f"every lambda must be positive; got {config.lams}")
+    """Raise ValueError for a config that no check can run on.  Every
+    config passes here before any check runs."""
+    if not config.lams:
+        raise ValueError("no lambda given")
+    for lam in config.lams:
+        validate_lambda(lam)
     if not config.n_maxes or min(config.n_maxes) < 1:
         raise ValueError(f"every n_max must be >= 1; got {config.n_maxes}")
     if config.n_states < 1:
         raise ValueError(f"states must be >= 1; got {config.n_states}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0; got {config.seed}")
     _margin(config, 0)  # raises on a bad margin policy
     unknown = set(config.suites) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites {sorted(unknown)}; have {SUITES}")
-    potential_fn(config.potential)
+    potential_fn(config.potential, config.potential_q)
+    unknown = set(config.tol_overrides) - set(CHECK_IDS)
+    if unknown:
+        raise ValueError(f"tol.<check_id> names no check: {sorted(unknown)}")
+    for tol in (config.tolerance, *config.tol_overrides.values()):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"thresholds must be finite and >= 0; got {tol!r}")
+    if config.fmt not in FORMATS:
+        raise ValueError(f"unknown format {config.fmt!r}; have {FORMATS}")
 
 
 def _states(space: Space, config: CheckConfig, margin: int,
@@ -253,7 +214,7 @@ class CheckSpec:
     statement: str
     runner: Callable[[Space, CheckConfig], Tuple[float, str]]
     kind: str = "identity"
-    tol: float = 1e-10
+    tol: Optional[float] = None  # None: the run's tolerance
     per_space: bool = True  # False: runs once, independent of (lam, n_max) grid
 
 
@@ -940,7 +901,7 @@ CHECKS: List[CheckSpec] = [
               _run_hermiticity),
     CheckSpec("hermiticity.h0_range", "hermiticity",
               "H0 positive with spectrum inside [0, 2/lam^2]",
-              _run_h0_positivity, tol=1e-10),
+              _run_h0_positivity),
     CheckSpec("spectra.bound", "spectra",
               "sector spectra inside [0, 2/lam^2] (kinetic cutoff)",
               _run_spectrum_bound, tol=1e-8),
@@ -975,6 +936,78 @@ CHECK_IDS = tuple(c.check_id for c in CHECKS)
 SUITES = tuple(sorted({c.suite for c in CHECKS}))
 
 
+# -- check options ----------------------------------------------------------------
+
+
+def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list of ``item`` values."""
+    return lambda text: tuple(item(v.strip()) for v in text.split(","))
+
+
+def _joined(values) -> str:
+    return ", ".join(str(v) for v in values)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One ``check`` option: its CheckConfig field, config-file key, CLI
+    flag, the parser of its text, the printer of its value, and help."""
+
+    field: str
+    key: str
+    flag: str
+    parse: Callable[[str], object]
+    show: Callable[[object], str]
+    help: str
+
+
+#: one row per CheckConfig field but ``tol_overrides``; the config file,
+#: the ``check`` flags and ``to_text`` all loop over this table
+OPTIONS = (
+    Option("lams", "lambda", "--lambda", _list(float), _joined,
+           "comma-separated NC length scales"),
+    Option("n_maxes", "nmax", "--nmax", _list(int), _joined,
+           "comma-separated truncation cutoffs"),
+    Option("seed", "seed", "--seed", int, str, "seed of the random states"),
+    Option("n_states", "states", "--states", int, str,
+           "random states per check"),
+    Option("margin", "margin", "--margin", str, str,
+           "interior margin policy: auto or fixed:k"),
+    Option("suites", "suites", "--suite", _list(str), _joined,
+           f"comma-separated suites from {SUITES} or 'all'"),
+    Option("potential", "potential", "--potential", str, str,
+           f"central potential, one of {sorted(POTENTIALS)}"),
+    Option("potential_q", "q", "--q", float, str,
+           "potential strength parameter"),
+    Option("tolerance", "tolerance", "--tol", float, str,
+           "threshold of every check that sets none of its own"),
+    Option("out", "out", "--out", str, str, "write the report to this file"),
+    Option("fmt", "format", "--format", str, str,
+           f"report format, one of {FORMATS}"),
+)
+_BY_KEY = {opt.key: opt for opt in OPTIONS}
+
+
+def parse_config_text(text: str) -> CheckConfig:
+    """Parse the plain-text config grammar: ``key = value`` lines, ``#``
+    comments, comma-separated lists, ``tol.<check_id> = x`` overrides."""
+    cfg = CheckConfig()
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line (want key = value): {raw!r}")
+        key, val = (p.strip() for p in line.split("=", 1))
+        if key.startswith("tol."):
+            cfg.tol_overrides[key[4:]] = float(val)
+        elif key in _BY_KEY:
+            setattr(cfg, _BY_KEY[key].field, _BY_KEY[key].parse(val))
+        else:
+            raise ValueError(f"unknown config key {key!r}")
+    return cfg
+
+
 def run_suite(config: CheckConfig) -> VerificationReport:
     """Execute the configured suites over the (lam, n_max) grid.
 
@@ -991,10 +1024,8 @@ def run_suite(config: CheckConfig) -> VerificationReport:
     for check in CHECKS:
         if check.suite not in wanted:
             continue
-        tol = config.tol_overrides.get(check.check_id, check.tol)
-        if check.tol == 1e-10 and config.tolerance != 1e-10 \
-                and check.check_id not in config.tol_overrides:
-            tol = config.tolerance
+        tol = config.tol_overrides.get(
+            check.check_id, config.tolerance if check.tol is None else check.tol)
         grid = [(lam, n) for lam in config.lams for n in config.n_maxes] \
             if check.per_space else [(config.lams[0], config.n_maxes[0])]
         for lam, n_max in grid:

@@ -22,10 +22,10 @@ from typing import List, Optional
 
 
 from . import __version__
-from .checks import (CheckConfig, SUITES, parse_config_text, potential_fn,
-                     run_suite)
+from .checks import (OPTIONS, CheckConfig, parse_config_text, potential_fn,
+                     run_suite, validate_lambda)
 from .operators import RadialFunction, Space
-from .report import emit_report
+from .report import FORMATS, emit_report
 from . import identities as idn
 from . import spectra as spc
 
@@ -50,23 +50,11 @@ def _check_points(points, j: float, boundary: str = "dirichlet") -> int:
         raise ValueError(f"j must be >= 0; got {j}")
     need = j if boundary == "hard" else j + 1
     for lam, n_max in points:
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive; got {lam!r}")
+        validate_lambda(lam)
         if n_max < need:
             raise ValueError(f"j={j} with the {boundary} boundary needs "
                              f"n_max >= {need}; got {n_max}")
     return j
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=str, default=None,
-                   help="comma-separated NC length scales")
-    p.add_argument("--nmax", type=str, default=None,
-                   help="comma-separated truncation cutoffs")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
-                   default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,18 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: check_id, suite, kind, statement, params "
                "(JSON), residual, threshold, passed, status, wall_time_ms, "
                "detail")
-    _add_common(p_check)
-    p_check.add_argument("--suite", type=str, default=None,
-                         help=f"comma-separated suites from {SUITES} or 'all'")
-    p_check.add_argument("--margin", type=str, default=None,
-                         help="interior margin policy: auto or fixed:k")
-    p_check.add_argument("--states", type=int, default=None,
-                         help="random states per check")
-    p_check.add_argument("--potential", type=str, default=None)
-    p_check.add_argument("--q", type=float, default=None,
-                         help="potential strength parameter")
-    p_check.add_argument("--tol", type=float, default=None,
-                         help="override the default 1e-10 threshold")
+    for opt in OPTIONS:
+        p_check.add_argument(opt.flag, dest=opt.field, help=opt.help)
     p_check.add_argument("--config", type=str, default=None,
                          help="plain-text config file (flags override it)")
 
@@ -105,7 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the proof transcript here")
 
     p_spec = sub.add_parser("spectrum", help="sector spectra for a potential")
-    _add_common(p_spec)
+    p_spec.add_argument("--lambda", dest="lam", type=str, default="0.2",
+                        help="comma-separated NC length scales")
+    p_spec.add_argument("--nmax", type=str, default="19",
+                        help="comma-separated truncation cutoffs")
+    p_spec.add_argument("--out", type=str, default=None)
+    p_spec.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
     p_spec.add_argument("--potential", type=str, default="free")
     p_spec.add_argument("--q", type=float, default=1.0)
     p_spec.add_argument("--j", type=float, default=0,
@@ -130,28 +113,10 @@ def _config_from_args(args) -> CheckConfig:
             cfg = parse_config_text(fh.read())
     else:
         cfg = CheckConfig()
-    if args.lam is not None:
-        cfg.lams = tuple(float(v) for v in args.lam.split(","))
-    if args.nmax is not None:
-        cfg.n_maxes = tuple(int(v) for v in args.nmax.split(","))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.states is not None:
-        cfg.n_states = args.states
-    if args.margin is not None:
-        cfg.margin = args.margin
-    if args.suite is not None:
-        cfg.suites = tuple(s.strip() for s in args.suite.split(","))
-    if args.potential is not None:
-        cfg.potential = args.potential
-    if args.q is not None:
-        cfg.potential_q = args.q
-    if args.tol is not None:
-        cfg.tolerance = args.tol
-    if args.out is not None:
-        cfg.out = args.out
-    if args.fmt is not None:
-        cfg.fmt = args.fmt
+    for opt in OPTIONS:
+        text = getattr(args, opt.field)
+        if text is not None:
+            setattr(cfg, opt.field, opt.parse(text))
     return cfg
 
 
@@ -159,12 +124,11 @@ def _cmd_check(args) -> int:
     try:
         cfg = _config_from_args(args)
         report = run_suite(cfg)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = cfg.fmt or "json"
     try:
-        out = emit_report(report, fmt, cfg.out)
+        out = emit_report(report, cfg.fmt, cfg.out)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
@@ -221,8 +185,8 @@ def _convergence_csv(records) -> List[str]:
 
 def _cmd_spectrum(args) -> int:
     try:
-        lams = [float(v) for v in (args.lam or "0.2").split(",")]
-        n_maxes = [int(v) for v in (args.nmax or "19").split(",")]
+        lams = [float(v) for v in args.lam.split(",")]
+        n_maxes = [int(v) for v in args.nmax.split(",")]
         if len(n_maxes) == 1:
             n_maxes = n_maxes * len(lams)
         if len(n_maxes) != len(lams):
@@ -232,7 +196,6 @@ def _cmd_spectrum(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = args.fmt or "json"
     wrote = []
     for lam, n_max in zip(lams, n_maxes):
         space = Space(n_max, lam)
@@ -242,7 +205,7 @@ def _cmd_spectrum(args) -> int:
                                                name=args.potential)
         result = spc.solve_sector(space, j, pot, boundary=args.boundary)
         payload = _spectrum_payload(result)
-        if fmt == "json":
+        if args.fmt == "json":
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         else:
             lines = [f"# potential={payload['potential']} lam={lam} "
@@ -250,7 +213,7 @@ def _cmd_spectrum(args) -> int:
                      f"# cutoff 2/lam^2 = {payload['cutoff']!r} "
                      f"max_energy = {payload['max_energy']!r} "
                      f"below_cutoff = {payload['below_cutoff']}"]
-            if fmt == "csv":
+            if args.fmt == "csv":
                 lines.append("level,energy")
                 lines += [f"{k},{e!r}" for k, e in enumerate(payload["levels"])]
             else:
@@ -258,7 +221,7 @@ def _cmd_spectrum(args) -> int:
                           for k, e in enumerate(payload["levels"])]
             text = "\n".join(lines) + "\n"
         if args.out:
-            path = f"{args.out}.lam{lam}.j{j}.{fmt}"
+            path = f"{args.out}.lam{lam}.j{j}.{args.fmt}"
             with open(path, "w") as fh:
                 fh.write(text)
             wrote.append(path)
@@ -281,6 +244,8 @@ def _cmd_converge(args) -> int:
     try:
         schedule = _parse_schedule(args.schedule)
         j = _check_points(schedule, args.j)
+        if args.levels < 1:
+            raise ValueError(f"--levels must be >= 1; got {args.levels}")
         fn = potential_fn(args.potential, args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

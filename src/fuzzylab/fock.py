@@ -142,11 +142,10 @@ def enumerate_basis(n_max: int) -> FockBasis:
 
 @dataclass
 class FockMatrix:
-    """A sparse operator on the truncated Fock space, with an optional tag."""
+    """A sparse operator on the truncated Fock space."""
 
     basis: FockBasis
     matrix: sp.csr_matrix
-    tag: str = ""
 
 
 def ladder_matrix(basis: FockBasis, mode: int, dagger: bool = False) -> FockMatrix:
@@ -169,8 +168,8 @@ def ladder_matrix(basis: FockBasis, mode: int, dagger: bool = False) -> FockMatr
     vals = np.sqrt(occ[cols].astype(float)).astype(complex)
     m = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
     if dagger:
-        return FockMatrix(basis, m.conj().T.tocsr(), tag=f"a{mode}+")
-    return FockMatrix(basis, m, tag=f"a{mode}")
+        return FockMatrix(basis, m.conj().T.tocsr())
+    return FockMatrix(basis, m)
 
 
 def coordinate_matrix(basis: FockBasis, j: int, lam: float) -> FockMatrix:
@@ -181,7 +180,7 @@ def coordinate_matrix(basis: FockBasis, j: int, lam: float) -> FockMatrix:
         raise ValueError("lam must be positive")
     a = [ladder_matrix(basis, m).matrix for m in (1, 2)]
     ad = [m.conj().T.tocsr() for m in a]
-    return FockMatrix(basis, coordinate_from_ladders(a, ad, j, lam), tag=f"x{j}")
+    return FockMatrix(basis, coordinate_from_ladders(a, ad, j, lam))
 
 
 def coordinate_from_ladders(a, ad, j: int, lam: float) -> sp.csr_matrix:
@@ -200,13 +199,7 @@ def radial_matrix(basis: FockBasis, lam: float) -> FockMatrix:
     if lam <= 0:
         raise ValueError("lam must be positive")
     diag = lam * (basis.shells.astype(float) + 1.0)
-    return FockMatrix(basis, sp.diags(diag, format="csr", dtype=complex), tag="r")
-
-
-def _to_coo(matrix: Matrix) -> sp.coo_matrix:
-    if sp.issparse(matrix):
-        return matrix.tocoo()
-    return sp.coo_matrix(matrix)
+    return FockMatrix(basis, sp.diags(diag, format="csr", dtype=complex))
 
 
 def _absmax(matrix: Matrix) -> float:
@@ -232,32 +225,27 @@ class NCState:
             return self.matrix.toarray()
         return np.asarray(self.matrix)
 
+    def _census(self, tol: float):
+        """Left and right shells of every entry above ``tol`` times the
+        largest entry."""
+        coo = sp.coo_matrix(self.matrix)
+        keep = np.abs(coo.data) > tol * _absmax(self.matrix)
+        shells = self.basis.shells
+        return shells[coo.row[keep]], shells[coo.col[keep]]
+
     def kappa(self, tol: float = 0.0) -> Optional[int]:
         """The unique charge (left N) - (right N) over nonzero blocks.
 
         Returns None for the zero state or a mixed-charge superposition.
         """
-        shells = self.basis.shells
-        coo = _to_coo(self.matrix)
-        scale = _absmax(self.matrix)
-        kappas = set()
-        for i, k, v in zip(coo.row, coo.col, coo.data):
-            if abs(v) > tol * scale:
-                kappas.add(int(shells[i] - shells[k]))
-        if len(kappas) == 1:
-            return kappas.pop()
-        return None
+        left, right = self._census(tol)
+        kappas = np.unique(left - right)
+        return int(kappas[0]) if len(kappas) == 1 else None
 
     def support_max(self, tol: float = 0.0) -> int:
         """Largest shell max(N_left, N_right) carrying a nonzero block."""
-        shells = self.basis.shells
-        coo = _to_coo(self.matrix)
-        scale = _absmax(self.matrix)
-        out = -1
-        for i, k, v in zip(coo.row, coo.col, coo.data):
-            if abs(v) > tol * scale:
-                out = max(out, int(shells[i]), int(shells[k]))
-        return out
+        left, right = self._census(tol)
+        return int(max(left.max(initial=-1), right.max(initial=-1)))
 
     def __add__(self, other: "NCState") -> "NCState":
         _check_same_basis(self, other)
@@ -370,7 +358,7 @@ def interior_projection(psi: NCState, margin: int) -> NCState:
     cut = n_max - margin
     shells = psi.basis.shells
     if sp.issparse(psi.matrix):
-        coo = _to_coo(psi.matrix)
+        coo = psi.matrix.tocoo()
         keep = (shells[coo.row] <= cut) & (shells[coo.col] <= cut)
         out = sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
                             shape=coo.shape).tocsr()
@@ -386,7 +374,7 @@ def state_to_text(psi: NCState, tol: float = 0.0) -> str:
     """Serialize a state as labeled COO text: ``n1 n2 | m1 m2 | re im``."""
     buf = io.StringIO()
     buf.write(f"# fuzzylab ncstate v1 n_max={psi.basis.n_max}\n")
-    coo = _to_coo(psi.matrix)
+    coo = sp.coo_matrix(psi.matrix)
     order = np.lexsort((coo.col, coo.row))
     labels = psi.basis.labels
     for k in order:

@@ -569,17 +569,11 @@ class Space:
 
         The defect in the Leibniz rule: V_i(AB) = (V_i A)B + A(V_i B) + K_i(A, B).
         """
-        if A.basis.n_max != self.n_max or B.basis.n_max != self.n_max:
-            raise ValueError("states and space do not match")
-        a, ad = self.a, self.ad
-        ma, mb = A.matrix, B.matrix
         s = None
         for (al, be), c in _sigma_pairs(i - 1):
-            ca_dag_A = ad[al] @ ma - ma @ ad[al]
-            ca_B = a[be] @ mb - mb @ a[be]
-            ca_A = a[be] @ ma - ma @ a[be]
-            ca_dag_B = ad[al] @ mb - mb @ ad[al]
-            t = c * (ca_dag_A @ ca_B - ca_A @ ca_dag_B)
+            up = self._ladder_commutator(al + 1, True)
+            down = self._ladder_commutator(be + 1, False)
+            t = c * (up(A).matrix @ down(B).matrix - down(A).matrix @ up(B).matrix)
             s = t if s is None else s + t
         return NCState(self.basis, -0.5j * (self.rinv @ s))
 

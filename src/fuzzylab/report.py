@@ -12,7 +12,10 @@ from typing import List, Optional
 
 __all__ = ["CheckRecord", "VerificationReport", "emit_report",
            "report_from_json", "environment_fingerprint",
-           "CSV_COLUMNS", "SCHEMA_VERSION"]
+           "CSV_COLUMNS", "FORMATS", "SCHEMA_VERSION"]
+
+#: the formats ``emit_report`` renders
+FORMATS = ("json", "csv", "text")
 
 #: v2 adds the record ``status`` and writes non-finite numbers as null
 SCHEMA_VERSION = 2
@@ -181,7 +184,7 @@ def emit_report(report: VerificationReport, fmt: str,
     elif fmt == "text":
         out = report.to_text()
     else:
-        raise ValueError(f"unknown format {fmt!r} (want json, csv or text)")
+        raise ValueError(f"unknown format {fmt!r} (want one of {FORMATS})")
     if path is not None:
         with open(path, "w") as fh:
             fh.write(out)

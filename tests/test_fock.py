@@ -261,3 +261,18 @@ def test_packing_layout_and_charge_census():
     lone[basis.index[(0, 0)], basis.index[(4, 1)]] = np.nan
     assert list(basis.charges(lone)) == [-5, 2]
     assert list(basis.charges(lone.real.copy())) == [-5]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_kappa_and_support_ignore_entries_below_tol(sparse):
+    import scipy.sparse as sp
+    basis = enumerate_basis(6)
+    w = WeightedInnerProduct(basis, 0.5)
+    m = random_state(basis, 2, 0, 3, w).dense()
+    m[basis.index[(5, 0)], basis.index[(1, 2)]] = 1e-9 * np.abs(m).max()
+    convert = sp.csr_matrix if sparse else np.asarray
+    state = NCState(basis, convert(m))
+    assert state.kappa() is None and state.support_max() == 5
+    assert state.kappa(1e-6) == 0 and state.support_max(1e-6) == 3
+    zero = NCState(basis, convert(np.zeros((basis.dim, basis.dim))))
+    assert zero.kappa() is None and zero.support_max() == -1
