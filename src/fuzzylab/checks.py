@@ -137,10 +137,11 @@ def _validate_config(config: CheckConfig) -> None:
 
 
 def _states(space: Space, config: CheckConfig, margin: int,
-            kappa: int = 0) -> List[NCState]:
+            kappa: int = 0, at_least: int = 1) -> List[NCState]:
+    """``config.n_states`` seeded random states, or ``at_least`` if more."""
     support = max(space.n_max - margin, abs(kappa))
     return [space.random_state(config.seed + 1000 * t, kappa, support)
-            for t in range(config.n_states)]
+            for t in range(max(config.n_states, at_least))]
 
 
 def _rel_residual(space: Space, diff: NCState, margin: int,
@@ -346,8 +347,6 @@ def _run_velocity_on_coordinates(space: Space, config: CheckConfig):
 
 def _run_velocity_on_radial(space: Space, config: CheckConfig):
     margin = _margin(config, 1)
-    rsq = RadialFunction.from_callable(lambda r: r * r, space.lam,
-                                       space.n_max, name="r2")
     f_state = space.state((space.r @ space.r).astype(complex))
     worst = 0.0
     for j in (1, 2, 3):
@@ -563,7 +562,7 @@ def _run_acc_full_h(space: Space, config: CheckConfig):
 
 
 def _run_ip_axioms(space: Space, config: CheckConfig):
-    states = _states(space, config, 0)
+    states = _states(space, config, 0, at_least=2)  # pairs consecutive states
     worst = 0.0
     for t in range(len(states) - 1):
         phi, psi = states[t], states[t + 1]
@@ -588,7 +587,7 @@ def _run_hermiticity(space: Space, config: CheckConfig):
     worst = 0.0
     for op in ops:
         margin = max(_margin(config, op.bandwidth), op.bandwidth)
-        states = _states(space, config, margin)
+        states = _states(space, config, margin, at_least=2)
         for t in range(len(states) - 1):
             phi, psi = states[t], states[t + 1]
             a = space.ip(phi, op(psi))
@@ -651,7 +650,7 @@ def _run_m_independence(space: Space, config: CheckConfig):
     if not sectors:
         raise CheckSkipped(f"no sector j = 1, 2 has j <= n_max - 1 "
                            f"(n_max {space.n_max})")
-    worst = 0.0
+    across_m = closed = 0.0
     pot = _config_potential(space, config)
     for j in sectors:
         mats = []
@@ -660,8 +659,11 @@ def _run_m_independence(space: Space, config: CheckConfig):
             mats.append(spc.reduce_hamiltonian(space, sector, pot))
         scale = max(np.abs(mats[0]).max(), _TINY)
         for mat in mats[1:]:
-            worst = max(worst, np.abs(mat - mats[0]).max() / scale)
-    return worst, "reduced Hamiltonian identical across m Zeeman levels"
+            across_m = max(across_m, np.abs(mat - mats[0]).max() / scale)
+        form, _grid = spc.radial_hamiltonian(space, j, pot, "dirichlet")
+        closed = max(closed, np.abs(form - mats[-1]).max() / scale)
+    return max(across_m, closed), (f"reduced H across m levels {across_m:.1e}; "
+                                   f"closed form vs it at m = j {closed:.1e}")
 
 
 def _run_brute_force(space: Space, config: CheckConfig):
@@ -709,6 +711,10 @@ def _run_comm_limit(space: Space, config: CheckConfig):
     return (0.0 if decreasing and rate > 8.0 else 1.0), detail
 
 
+_J0_EXACT = ("j = 0 agreement is exact by construction: the diag(r) "
+             "similarity makes both matrices identical")
+
+
 def _run_convergence(space: Space, config: CheckConfig):
     """Free-particle oracle gaps along a fixed-box schedule (j = 0 and 1)."""
     schedule = [(0.4, 19), (0.2, 39), (0.1, 79)]
@@ -724,16 +730,18 @@ def _run_convergence(space: Space, config: CheckConfig):
             if not ok:
                 floor_fail = 1.0
             details.append(f"j{j}l{level}:" + "/".join(f"{g:.1e}" for g in gaps))
-    return floor_fail, " ".join(details)
+    return floor_fail, " ".join(details) + "; " + _J0_EXACT
 
 
-def _run_coulomb_oracle(space: Space, config: CheckConfig):
-    recs = spc.convergence_study([(0.1, 79)], 0, POTENTIALS["coulomb"],
+def _run_coulomb_oracle(j: int, space: Space, config: CheckConfig):
+    """Relative gap of the Coulomb ground level of sector j at (0.1, 79)."""
+    recs = spc.convergence_study([(0.1, 79)], j, POTENTIALS["coulomb"],
                                  "coulomb", levels=1)
     rec = recs[0]
     rel = rec.gap / max(abs(rec.energy_oracle), _TINY)
-    return rel, (f"ground level E_nc={rec.energy_nc:.6f} vs "
-                 f"oracle {rec.energy_oracle:.6f}")
+    detail = (f"ground level E_nc={rec.energy_nc:.6f} vs "
+              f"oracle {rec.energy_oracle:.6f}")
+    return rel, detail + "; " + _J0_EXACT if j == 0 else detail
 
 
 # ---- symbolic --------------------------------------------------------------------
@@ -918,7 +926,12 @@ CHECKS: List[CheckSpec] = [
               _run_convergence, tol=0.5, per_space=False),
     CheckSpec("spectra.coulomb_oracle", "spectra",
               "Coulomb ground level within 5% of the FD oracle",
-              _run_coulomb_oracle, tol=0.05, per_space=False),
+              functools.partial(_run_coulomb_oracle, 0), tol=0.05,
+              per_space=False),
+    CheckSpec("spectra.coulomb_oracle_j1", "spectra",
+              "j = 1 Coulomb ground level within 5% of the FD oracle",
+              functools.partial(_run_coulomb_oracle, 1), tol=0.05,
+              per_space=False),
     CheckSpec("symbolic.proofs", "symbolic",
               "appendix identities reduce to the exact zero normal form",
               _run_symbolic_proofs, tol=0.5, per_space=False),

@@ -252,6 +252,12 @@ def _cmd_converge(args) -> int:
         return 2
     records = spc.convergence_study(schedule, j, fn,
                                     args.potential, levels=args.levels)
+    # the Dirichlet sector j has n_max - j radial states, hence levels
+    short = [f"{lam!r}:{n_max} (has {n_max - j})" for lam, n_max in schedule
+             if n_max - j < args.levels]
+    if short:
+        print(f"note: fewer than {args.levels} levels at " + ", ".join(short),
+              file=sys.stderr)
     lines = _convergence_csv(records)
     # informational: how the deepest level scales with lam (no verdict
     # attached; flags any bound levels that vanish in the commutative limit)

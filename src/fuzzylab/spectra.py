@@ -12,6 +12,8 @@ states.  A sector's shells must be distinct, so its states have disjoint
 support and a diagonal Gram matrix; reducing a superoperator computes only
 the entries within its declared shell bandwidth (the rest vanish exactly),
 and H = H0 + U(r) reduces to a hermitian tridiagonal radial matrix.
+``solve_sector`` takes it in closed form (``radial_hamiltonian``), with no
+sector state; the reduction is the reference it is checked against.
 
 Two walls are available.  ``boundary="hard"`` keeps every shell of the
 truncated arena, which is the cutoff itself (a+ annihilates the top shell)
@@ -35,8 +37,8 @@ from .fock import NCState
 from .operators import RadialFunction, Space, SuperOp
 
 __all__ = [
-    "AngularSector", "CentralPotential", "SpectrumResult",
-    "build_sector", "shell_state", "reduce_hamiltonian", "reduce_superop",
+    "AngularSector", "CentralPotential", "SpectrumResult", "build_sector",
+    "shell_state", "reduce_hamiltonian", "reduce_superop", "radial_hamiltonian",
     "eigen_solve", "commutative_oracle", "full_kappa0_spectrum",
     "v2_consistency", "convergence_study", "ConvergenceRecord",
 ]
@@ -104,15 +106,12 @@ class AngularSector:
         return self.lam * (self.shells + 1.0)
 
 
-def build_sector(space: Space, j: int, m: int, boundary: str = "hard") -> AngularSector:
-    """Build and normalize the radial basis of the (j, m) sector.
-
-    Half-integer j belongs to charged sectors and is rejected.
-    """
+def _sector_top(space: Space, j, m, boundary: str) -> int:
+    """Validate (j, m, boundary); return the sector's last shell.  Half-integer
+    j belongs to charged sectors and is rejected."""
     if int(j) != j or j < 0:
         raise ValueError("only integer j >= 0 occurs for charge-zero states; "
                          f"got j={j}")
-    j = int(j)
     if abs(m) > j or int(m) != m:
         raise ValueError(f"m must be an integer with |m| <= j; got m={m}")
     if boundary not in ("hard", "dirichlet"):
@@ -120,6 +119,13 @@ def build_sector(space: Space, j: int, m: int, boundary: str = "hard") -> Angula
     top = space.n_max if boundary == "hard" else space.n_max - 1
     if top < j:
         raise ValueError(f"j={j} needs at least shell {j}; n_max too small")
+    return top
+
+
+def build_sector(space: Space, j: int, m: int, boundary: str = "hard") -> AngularSector:
+    """Build and normalize the radial basis of the (j, m) sector."""
+    top = _sector_top(space, j, m, boundary)
+    j = int(j)
     states, shells = [], []
     for n in range(0, top - j + 1):
         s = shell_state(space, j, int(m), n)
@@ -130,6 +136,30 @@ def build_sector(space: Space, j: int, m: int, boundary: str = "hard") -> Angula
         shells.append(n + j)
     return AngularSector(j=j, m=int(m), lam=space.lam, boundary=boundary,
                          states=states, shells=np.asarray(shells, dtype=float))
+
+
+def radial_hamiltonian(space: Space, j: int,
+                       potential: Optional[CentralPotential] = None,
+                       boundary: str = "hard", m: Optional[int] = None) -> tuple:
+    """Closed form of ``reduce_hamiltonian`` and the sector grid lam (N + 1).
+
+    Radial index k sits on shell N = k + j: H_kk = 1/lam^2 + U(r_N) and
+    H_k,k+1 = -sqrt(1 - j(j+1)/((N+1)(N+2))) / (2 lam^2).  The hard wall's
+    top entry is n_max/(2 lam^2 (n_max+1)) + U, because a+ annihilates the
+    top shell.  The matrix is the same for every m, which is only validated.
+    """
+    top = _sector_top(space, j, j if m is None else m, boundary)
+    j, lam = int(j), space.lam
+    shells = np.arange(j, top + 1, dtype=float)
+    diag = np.full(len(shells), 1.0 / lam**2)
+    if boundary == "hard":
+        diag[-1] = space.n_max / (2.0 * lam**2 * (space.n_max + 1))
+    if potential is not None:
+        diag = diag + potential.values[j:top + 1]
+    n1, n2 = shells[:-1] + 1.0, shells[:-1] + 2.0
+    off = -np.sqrt(1.0 - j * (j + 1) / (n1 * n2)) / (2.0 * lam**2)
+    mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return mat, lam * (shells + 1.0)
 
 
 def _gram_inverse_sqrt(space: Space, sector: AngularSector) -> np.ndarray:
@@ -205,15 +235,14 @@ def eigen_solve(matrix: np.ndarray, residual_tol: float = 1e-8) -> tuple:
 
 def solve_sector(space: Space, j: int, potential: Optional[CentralPotential] = None,
                  m: Optional[int] = None, boundary: str = "hard") -> SpectrumResult:
-    """Convenience: build the sector, reduce, and diagonalize."""
-    sector = build_sector(space, j, j if m is None else m, boundary=boundary)
-    mat = reduce_hamiltonian(space, sector, potential)
+    """Diagonalize the closed-form radial Hamiltonian of the (j, m) sector."""
+    mat, grid = radial_hamiltonian(space, j, potential, boundary, m)
     evals, evecs = eigen_solve(mat)
     return SpectrumResult(
         lam=space.lam, n_max=space.n_max, j=j,
         potential=potential.name if potential is not None else "free",
         boundary=boundary, eigenvalues=evals, eigenvectors=evecs,
-        metadata={"grid": sector.grid.tolist(),
+        metadata={"grid": grid.tolist(),
                   "eigen_residual_tol": 1e-8,
                   "margin": 0 if boundary == "hard" else 1})
 
@@ -224,14 +253,10 @@ def commutative_oracle(grid: np.ndarray, h: float, j: int,
     + j(j+1)/(2 r^2) + U(r), central differences, Dirichlet at both ghost
     points of the uniform grid."""
     grid = np.asarray(grid, dtype=float)
-    n = len(grid)
-    u = np.zeros(n) if potential_values is None else np.asarray(potential_values)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        mat[i, i] = 1.0 / h**2 + j * (j + 1) / (2.0 * grid[i] ** 2) + u[i]
-        if i + 1 < n:
-            mat[i, i + 1] = -1.0 / (2 * h**2) - 1.0 / (2 * h * grid[i])
-            mat[i + 1, i] = -1.0 / (2 * h**2) + 1.0 / (2 * h * grid[i + 1])
+    u = 0.0 if potential_values is None else np.asarray(potential_values)
+    mat = np.diag(1.0 / h**2 + j * (j + 1) / (2.0 * grid**2) + u)
+    mat += np.diag(-1.0 / (2 * h**2) - 1.0 / (2 * h * grid[:-1]), 1)
+    mat += np.diag(-1.0 / (2 * h**2) + 1.0 / (2 * h * grid[1:]), -1)
     # similarity by diag(r) symmetrizes the first-derivative term exactly
     sym = (grid[:, None] * mat) / grid[None, :]
     sym = 0.5 * (sym + sym.T)
@@ -267,13 +292,9 @@ def v2_consistency(space: Space, j: int, boundary: str = "dirichlet",
     discipline used for all operator identities.
     """
     sector = build_sector(space, j, j, boundary=boundary)
-    hmat = reduce_hamiltonian(space, sector)
-    v2op = None
-    for k in (1, 2, 3):
-        v = space.velocity(k)
-        t = v @ v
-        v2op = t if v2op is None else v2op + t
-    v2 = reduce_superop(space, sector, v2op)
+    hmat, _grid = radial_hamiltonian(space, j, boundary=boundary)
+    v = [space.velocity(k) for k in (1, 2, 3)]
+    v2 = reduce_superop(space, sector, v[0] @ v[0] + v[1] @ v[1] + v[2] @ v[2])
     evals, evecs = eigen_solve(hmat)
     lam = space.lam
     out = []

@@ -102,3 +102,25 @@ def test_v4_commutators_cover_every_component(check_id, component,
     spec.runner(space, CheckConfig(n_states=1))
     ops = [getattr(space, component)(i) for i in (1, 2, 3)]
     assert applied == ops
+
+
+def _runner(check_id):
+    return next(c for c in checks.CHECKS if c.check_id == check_id).runner
+
+
+def test_coulomb_oracle_j0_is_an_identity_and_j1_a_limit():
+    space, config = Space(4, 0.5), CheckConfig()
+    exact, detail = _runner("spectra.coulomb_oracle")(space, config)
+    assert exact < 1e-10
+    assert "exact by construction" in detail
+    gap, _ = _runner("spectra.coulomb_oracle_j1")(space, config)
+    assert 1e-5 < gap <= 0.05
+
+
+def test_hermiticity_pairs_two_states_even_when_one_is_asked():
+    report = run_suite(CheckConfig(lams=(0.5,), n_maxes=(6,), n_states=1,
+                                   suites=("hermiticity",)))
+    records = {r.check_id: r for r in report.records}
+    for check_id in ("hermiticity.inner_product", "hermiticity.operators"):
+        assert records[check_id].residual > 0.0
+        assert records[check_id].passed

@@ -362,3 +362,20 @@ def test_report_from_json_reads_schema_v1():
     assert not report.passed
     with pytest.raises(ValueError):
         report_from_json(v1.replace('"schema_version": 1', '"schema_version": 3'))
+
+
+def test_cli_converge_notes_points_with_fewer_levels(capsys):
+    base = ["converge", "--potential", "free", "--j", "0",
+            "--schedule", "0.4:3,0.2:12"]
+    assert main(base + ["--levels", "3"]) == 0
+    want = capsys.readouterr()
+    assert want.err == ""
+    assert main(base + ["--levels", "9"]) == 0
+    got = capsys.readouterr()
+    notes = got.err.splitlines()
+    assert len(notes) == 1 and notes[0].startswith("note: ")
+    assert "0.4:3" in notes[0] and "0.2:12" not in notes[0]
+    lines = got.out.splitlines()
+    assert lines[:4] == want.out.splitlines()[:4]
+    assert len([ln for ln in lines if ln.startswith("0.4,")]) == 3
+    assert len([ln for ln in lines if ln.startswith("0.2,")]) == 9

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -375,3 +380,66 @@ def test_sector_reduction_bit_identical_to_closure_products(n_max, lam):
             got = spc.reduce_superop(space, sector, op)
             want = spc.reduce_superop(space, sector, ref)
             assert np.array_equal(got, want), (op.name, boundary)
+
+
+@pytest.mark.parametrize("lam, n_max", [(0.5, 8), (0.3, 12), (0.2, 24),
+                                        (0.1, 40)])
+def test_closed_form_matches_superoperator_reduction(lam, n_max):
+    space = Space(n_max, lam)
+    coulomb = RadialFunction.from_callable(lambda r: -1.0 / r, lam, n_max,
+                                           name="coulomb")
+    for j in range(5):
+        for potential in (None, coulomb):
+            for boundary in ("hard", "dirichlet"):
+                sector = spc.build_sector(space, j, j, boundary=boundary)
+                want = spc.reduce_hamiltonian(space, sector, potential)
+                got, grid = spc.radial_hamiltonian(space, j, potential,
+                                                   boundary)
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-13, (j, potential is None, boundary, err)
+                assert np.array_equal(grid, sector.grid)
+
+
+def test_radial_hamiltonian_rejects_what_build_sector_rejects(space):
+    for j, m, boundary, match in [(0.5, None, "hard", "integer"),
+                                  (-1, None, "hard", "integer"),
+                                  (1, 2, "hard", "m must"),
+                                  (1, 0.5, "hard", "m must"),
+                                  (12, None, "hard", "n_max too small"),
+                                  (8, None, "dirichlet", "n_max too small"),
+                                  (1, None, "soft", "boundary")]:
+        with pytest.raises(ValueError, match=match):
+            spc.build_sector(space, j, j if m is None else m, boundary)
+        with pytest.raises(ValueError, match=match):
+            spc.radial_hamiltonian(space, j, None, boundary, m)
+        with pytest.raises(ValueError, match=match):
+            spc.solve_sector(space, j, None, m, boundary)
+
+
+def test_solve_sector_builds_no_sector_state(space, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_sector built a sector state")
+
+    monkeypatch.setattr(spc, "shell_state", refuse)
+    pot = RadialFunction.from_callable(lambda r: -1.0 / r, space.lam,
+                                       space.n_max, name="coulomb")
+    for j in (0, 1, 2):
+        for boundary in ("hard", "dirichlet"):
+            spc.solve_sector(space, j, pot, m=-j, boundary=boundary)
+    spc.convergence_study([(0.8, 9), (0.4, 19)], 1, lambda r: -1.0 / r)
+
+
+def test_sector_solve_does_not_import_scipy_linalg():
+    code = ("import sys\n"
+            "import fuzzylab\n"
+            "from fuzzylab import spectra\n"
+            "from fuzzylab.operators import Space\n"
+            "spectra.solve_sector(Space(8, 0.5), 1)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['scipy', 'linalg']))\n")
+    src = str(Path(spc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
