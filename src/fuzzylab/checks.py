@@ -20,8 +20,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fock import EPS3, NCState, _absmax
+from .fock import EPS3, NCState
 from .operators import RadialFunction, Space, SuperOp
 from .report import FORMATS, CheckRecord, VerificationReport
 from . import identities as idn
@@ -145,9 +146,12 @@ def _states(space: Space, config: CheckConfig, margin: int,
 
 
 def _rel_residual(space: Space, diff: NCState, margin: int,
-                  scale_states: Sequence[NCState]) -> float:
+                  scale_states: Sequence[NCState] = (),
+                  scale: float = 0.0) -> float:
+    """Interior norm of ``diff`` over the largest of ``scale`` and the norms
+    of ``scale_states``."""
     num = space.ip.norm(space.interior(diff, margin))
-    den = max([space.ip.norm(s) for s in scale_states] + [_TINY])
+    den = max([space.ip.norm(s) for s in scale_states] + [scale, _TINY])
     return num / den
 
 
@@ -170,39 +174,74 @@ class _OpCache:
 
 def _commutator_residual(space: Space, A: SuperOp, B: SuperOp,
                          terms: Tuple[Tuple[complex, SuperOp], ...],
-                         psi: NCState, margin: int, cache: _OpCache,
-                         tag: Tuple) -> float:
-    """Relative residual of [A, B] psi - sum(c * op(psi) for c, op in terms)."""
-    b_psi = cache.apply(B, psi, tag)
-    a_psi = cache.apply(A, psi, tag)
+                         cache: _OpCache, psi: NCState, psi_norm: float,
+                         margin: int) -> List[float]:
+    """Relative residual of [A, B] psi - sum(c * op(psi) for c, op in terms),
+    as the one case value of a commutator row; ``psi_norm`` is |psi|."""
+    b_psi = cache.apply(B, psi, (psi,))
+    a_psi = cache.apply(A, psi, (psi,))
     ab = A(b_psi)
     ba = B(a_psi)
     diff = ab - ba
-    scales = [ab, ba, psi]
+    scales = [ab, ba]
     if terms:
         target = functools.reduce(operator.add, (c * op(psi) for c, op in terms))
         diff = diff - target
         scales.append(target)
-    return _rel_residual(space, diff, margin, scales)
+    return [_rel_residual(space, diff, margin, scales, psi_norm)]
+
+
+def _state_check(auto_margin: int, detail: str, floor: int = 0):
+    """Decorator making a runner of ``cases(space)``: functions
+    (psi, |psi|, margin) -> relative residuals.  The runner returns the worst
+    residual over every case (outer) and random state (inner), at a margin
+    of at least ``floor``; ``detail`` may name the ``{margin}`` and the
+    numbers of ``{states}`` and ``{cases}``."""
+
+    def wrap(cases: Callable[[Space], list]):
+        def run(space: Space, config: CheckConfig):
+            margin = max(_margin(config, auto_margin), floor)
+            states = _states(space, config, margin)
+            norms = [space.ip.norm(psi) for psi in states]
+            table = cases(space)
+            worst = 0.0
+            for case in table:
+                for psi, norm in zip(states, norms):
+                    for residual in case(psi, norm, margin):
+                        worst = max(worst, residual)
+            return worst, detail.format(margin=margin, states=len(states),
+                                        cases=len(table))
+
+        return run
+
+    return wrap
 
 
 def _commutator_runner(auto_margin: int, rows: Callable[[Space], list]):
     """Runner for a table of commutator rows ``(A, B, terms)``: the worst
     residual of [A, B] = sum(c * op) over every row and random state."""
 
-    def run(space: Space, config: CheckConfig):
-        margin = _margin(config, auto_margin)
-        states = _states(space, config, margin)
+    def cases(space: Space):
         cache = _OpCache()
-        table = rows(space)
-        worst = 0.0
-        for A, B, terms in table:
-            for t, psi in enumerate(states):
-                worst = max(worst, _commutator_residual(
-                    space, A, B, terms, psi, margin, cache, (t,)))
-        return worst, f"margin {margin}, {len(states)} states, {len(table)} rows"
+        return [functools.partial(_commutator_residual, space, A, B, terms, cache)
+                for A, B, terms in rows(space)]
 
-    return run
+    return _state_check(auto_margin, "margin {margin}, {states} states, "
+                                     "{cases} rows")(cases)
+
+
+def _pair(space: Space, op_a: SuperOp, op_b: SuperOp):
+    """Case op_a psi = op_b psi, relative to both sides and to psi."""
+    def case(psi, norm, margin):
+        a, b = op_a(psi), op_b(psi)
+        return [_rel_residual(space, a - b, margin, [a, b], norm)]
+    return case
+
+
+def _vanishes(space: Space, op: SuperOp, scale: float):
+    """Case op psi = 0, relative to ``scale``."""
+    return lambda psi, _norm, margin: [_rel_residual(space, op(psi), margin,
+                                                     scale=scale)]
 
 
 # -- check registry ----------------------------------------------------------
@@ -238,12 +277,11 @@ def _run_coordinate_algebra(space: Space, config: CheckConfig):
             for k in range(3):
                 if EPS3[i, j, k]:
                     acc = acc - 2.0j * lam * EPS3[i, j, k] * x[k]
-            worst = max(worst, _absmax(acc))
+            worst = max(worst, abs(acc).max())
     return worst, "max over all index pairs, full truncated space"
 
 
 def _run_x_square(space: Space, config: CheckConfig):
-    import scipy.sparse as sp
     lam = space.lam
     acc = None
     for xi in space.x:
@@ -251,11 +289,10 @@ def _run_x_square(space: Space, config: CheckConfig):
         acc = t if acc is None else acc + t
     rsq = space.r @ space.r
     eye = sp.identity(space.basis.dim, dtype=complex, format="csr")
-    return _absmax(acc - rsq + lam**2 * eye), ""
+    return abs(acc - rsq + lam**2 * eye).max(), ""
 
 
 def _run_ladder_algebra(space: Space, config: CheckConfig):
-    import scipy.sparse as sp
     shells = space.basis.shells
     keep = np.asarray(shells <= space.n_max - 1, dtype=float)
     proj = sp.diags(keep, format="csr", dtype=complex)
@@ -265,18 +302,18 @@ def _run_ladder_algebra(space: Space, config: CheckConfig):
         for be in range(2):
             comm = space.a[al] @ space.ad[be] - space.ad[be] @ space.a[al]
             delta = eye if al == be else 0.0 * eye
-            worst = max(worst, _absmax(proj @ (comm - delta) @ proj))
-            worst = max(worst, _absmax(
-                space.a[al] @ space.a[be] - space.a[be] @ space.a[al]))
-            worst = max(worst, _absmax(
-                space.ad[al] @ space.ad[be] - space.ad[be] @ space.ad[al]))
+            worst = max(worst, abs(proj @ (comm - delta) @ proj).max())
+            worst = max(worst, abs(
+                space.a[al] @ space.a[be] - space.a[be] @ space.a[al]).max())
+            worst = max(worst, abs(
+                space.ad[al] @ space.ad[be] - space.ad[be] @ space.ad[al]).max())
     return worst, "commutator relations, interior shells for [a, a+]"
 
 
 def _run_radial_scalar(space: Space, config: CheckConfig):
     worst, _detail = _lab_r(space, config)
     for xi in space.x:
-        worst = max(worst, _absmax(xi @ space.r - space.r @ xi))
+        worst = max(worst, abs(xi @ space.r - space.r @ xi).max())
     return worst, "[x_j, r] = 0 and [L_ab, r] = 0"
 
 
@@ -357,40 +394,40 @@ def _run_velocity_on_radial(space: Space, config: CheckConfig):
     return worst, "V_j f(r) = -i (x_j / r) f'_lam(r) for f = r^2 (f'_lam = 2r)"
 
 
-def _run_velocity_forms(space: Space, config: CheckConfig):
-    margin = _margin(config, 1)
-    states = _states(space, config, margin)
-    h0 = space.free_hamiltonian()
-    worst = 0.0
-    for j in (1, 2, 3):
-        vj, vjw, xj = space.velocity(j), space.velocity_w_form(j), space.position(j)
-        for psi in states:
-            direct = -1.0j * (xj(h0(psi)) - h0(xj(psi)))
-            a = vj(psi)
-            worst = max(worst, _rel_residual(space, a - vjw(psi), margin, [a]))
-            worst = max(worst, _rel_residual(space, a - direct, margin, [a]))
-    v4, v4w = space.velocity4(), space.velocity4_cross_form()
-    for psi in states:
-        a = v4(psi)
-        worst = max(worst, _rel_residual(space, a - v4w(psi), margin, [a]))
-    return worst, "-i[X_j, H0] = commutator form = cross form; V_4 both forms"
+@_state_check(1, "-i[X_j, H0] = commutator form = cross form; V_4 both forms")
+def _run_velocity_forms(s: Space):
+    h0 = s.free_hamiltonian()
+
+    def forms(j):
+        vj, vjw, xj = s.velocity(j), s.velocity_w_form(j), s.position(j)
+
+        def case(psi, _norm, margin):
+            direct, a = -1.0j * (xj(h0(psi)) - h0(xj(psi))), vj(psi)
+            return [_rel_residual(s, a - vjw(psi), margin, [a]),
+                    _rel_residual(s, a - direct, margin, [a])]
+        return case
+
+    def cross(psi, _norm, margin):
+        a = s.velocity4()(psi)
+        return [_rel_residual(s, a - s.velocity4_cross_form()(psi), margin, [a])]
+    return [forms(j) for j in (1, 2, 3)] + [cross]
 
 
-def _run_h0_forms(space: Space, config: CheckConfig):
-    margin = _margin(config, 1)
-    states = _states(space, config, margin)
-    h0 = space.free_hamiltonian()
-    lam, a, ad, rinv, r = space.lam, space.a, space.ad, space.rinv, space.r
-    worst = 0.0
-    for psi in states:
-        m = psi.matrix
-        s = (2.0 / lam) * (r @ m)
+@_state_check(1, "double-commutator H0 equals (2r/lam - a+.b - b+.a)/(2 lam r)")
+def _run_h0_forms(s: Space):
+    """H0 psi against the bilinear form, made of state products."""
+    h0, lam = s.free_hamiltonian(), s.lam
+    a, ad = [s.state(m).packed() for m in s.a], [s.state(m).packed() for m in s.ad]
+    r, rinv = s.state(s.r).packed(), s.state(s.rinv).packed()
+
+    def case(psi, _norm, margin):
+        t = (2.0 / lam) * (r @ psi)
         for al in range(2):
-            s = s - ad[al] @ m @ a[al] - a[al] @ m @ ad[al]
-        zeta = space.state(rinv @ s / (2.0 * lam))
+            t = t - ad[al] @ psi @ a[al] - a[al] @ psi @ ad[al]
         got = h0(psi)
-        worst = max(worst, _rel_residual(space, got - zeta, margin, [got]))
-    return worst, "double-commutator H0 equals (2r/lam - a+.b - b+.a)/(2 lam r)"
+        return [_rel_residual(s, got - (1.0 / (2.0 * lam)) * (rinv @ t), margin,
+                              [got])]
+    return [case]
 
 
 def _run_leibniz(space: Space, config: CheckConfig):
@@ -400,47 +437,37 @@ def _run_leibniz(space: Space, config: CheckConfig):
     for t in range(config.n_states):
         A = space.random_state(config.seed + 10 * t, 0, support)
         B = space.random_state(config.seed + 10 * t + 5, 0, support)
-        prod = NCState(space.basis, A.matrix @ B.matrix)
+        prod = A @ B
         for i in (1, 2, 3):
             vi = space.velocity(i)
             lhs = vi(prod)
-            rhs = NCState(space.basis, vi(A).matrix @ B.matrix) \
-                + NCState(space.basis, A.matrix @ vi(B).matrix) \
-                + space.leibniz_correction(i, A, B)
+            rhs = vi(A) @ B + A @ vi(B) + space.leibniz_correction(i, A, B)
             worst = max(worst, _rel_residual(space, lhs - rhs, margin,
                                              [lhs, rhs]))
     return worst, "V_i(AB) = (V_i A)B + A(V_i B) + K_i(A, B)"
 
 
-def _run_correction_sum(space: Space, config: CheckConfig):
-    margin = _margin(config, 2)
-    states = _states(space, config, margin)
-    h0 = space.free_hamiltonian()
-    lam = space.lam
-    worst = 0.0
-    for psi in states:
+@_state_check(2, "(K_i(x_j, psi) + K_i(psi, x_j))/2 = i delta_ij lam^2 H0 psi")
+def _run_correction_sum(s: Space):
+    h0, xs = s.free_hamiltonian(), [s.state(x).packed() for x in s.x]
+
+    def case(psi, norm, margin):
         h0psi = h0(psi)
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                xj = space.state(space.x[j - 1].astype(complex))
-                got = 0.5 * (space.leibniz_correction(i, xj, psi)
-                             + space.leibniz_correction(i, psi, xj))
-                want = (1.0j * lam**2 if i == j else 0.0) * h0psi
-                worst = max(worst, _rel_residual(space, got - want, margin,
-                                                 [h0psi, psi]))
-    return worst, "(K_i(x_j, psi) + K_i(psi, x_j))/2 = i delta_ij lam^2 H0 psi"
+        scale = max(s.ip.norm(h0psi), norm)
+        return (_rel_residual(s, 0.5 * (s.leibniz_correction(i, xj, psi)
+                                        + s.leibniz_correction(i, psi, xj))
+                              - (1.0j * s.lam**2 if i == j else 0.0) * h0psi,
+                              margin, scale=scale)
+                for i in (1, 2, 3) for j, xj in enumerate(xs, 1))
+    return [case]
 
 
-def _run_kzero_identity(space: Space, config: CheckConfig):
-    margin = _margin(config, 1)
-    states = _states(space, config, margin)
-    eye = space.identity_state()
-    worst = 0.0
-    for psi in states:
-        for i in (1, 2, 3):
-            got = space.leibniz_correction(i, eye, psi)
-            worst = max(worst, _rel_residual(space, got, margin, [psi]))
-    return worst, "K_i(1, psi) = 0"
+@_state_check(1, "K_i(1, psi) = 0")
+def _run_kzero_identity(s: Space):
+    eye = s.identity_state().packed()
+    return [lambda psi, norm, margin: (
+        _rel_residual(s, s.leibniz_correction(i, eye, psi), margin, scale=norm)
+        for i in (1, 2, 3))]
 
 
 # ---- quadratic relations -------------------------------------------------------
@@ -452,110 +479,70 @@ def _v_squared(space: Space, psi: NCState) -> NCState:
     return functools.reduce(operator.add, (v(v(psi)) for v in vs))
 
 
-def _run_v2h(space: Space, config: CheckConfig):
-    margin = _margin(config, 2)
-    states = _states(space, config, margin)
-    h0 = space.free_hamiltonian()
-    lam = space.lam
-    worst = 0.0
-    for psi in states:
-        v2 = _v_squared(space, psi)
-        h = h0(psi)
-        want = 2.0 * h - lam**2 * h0(h)
-        worst = max(worst, _rel_residual(space, v2 - want, margin, [v2, want]))
-    return worst, "V^2 = 2 H0 - lam^2 H0^2"
+@_state_check(2, "V^2 = 2 H0 - lam^2 H0^2")
+def _run_v2h(s: Space):
+    h0 = s.free_hamiltonian()
+
+    def case(psi, _norm, margin):
+        v2, h = _v_squared(s, psi), h0(psi)
+        want = 2.0 * h - s.lam**2 * h0(h)
+        return [_rel_residual(s, v2 - want, margin, [v2, want])]
+    return [case]
 
 
-def _run_vvh(space: Space, config: CheckConfig):
-    margin = _margin(config, 2)
-    states = _states(space, config, margin)
-    v4 = space.velocity4()
-    lam = space.lam
-    worst = 0.0
-    for psi in states:
-        lhs = v4(v4(psi))
-        rhs = (1.0 / lam**2) * psi - _v_squared(space, psi)
-        worst = max(worst, _rel_residual(space, lhs - rhs, margin, [lhs, rhs]))
-    return worst, "(1/lam - lam H0)^2 = 1/lam^2 - V^2"
+@_state_check(2, "(1/lam - lam H0)^2 = 1/lam^2 - V^2")
+def _run_vvh(s: Space):
+    v4 = s.velocity4()
+
+    def case(psi, _norm, margin):
+        lhs, rhs = v4(v4(psi)), (1.0 / s.lam**2) * psi - _v_squared(s, psi)
+        return [_rel_residual(s, lhs - rhs, margin, [lhs, rhs])]
+    return [case]
 
 
-def _run_casimir2(space: Space, config: CheckConfig):
-    margin = _margin(config, 2)
-    states = _states(space, config, margin)
-    c2 = space.casimir2()
-    lam = space.lam
-    worst = 0.0
-    for psi in states:
-        got = c2(psi)
-        want = (1.0 / lam**2) * psi
-        worst = max(worst, _rel_residual(space, got - want, margin, [want]))
-    return worst, "C_2 = V_a V_a = 1/lam^2"
+@_state_check(2, "C_2 = V_a V_a = 1/lam^2")
+def _run_casimir2(s: Space):
+    def case(psi, _norm, margin):
+        want = (1.0 / s.lam**2) * psi
+        return [_rel_residual(s, s.casimir2()(psi) - want, margin, [want])]
+    return [case]
 
 
-def _run_pauli_lubanski(space: Space, config: CheckConfig):
-    margin = _margin(config, 1)
-    states = _states(space, config, margin)
-    scale = 1.0 / space.lam  # velocity scale keeps the check relative
-    worst = 0.0
-    for a in (1, 2, 3, 4):
-        op = space.pauli_lubanski(a)
-        for psi in states:
-            got = op(psi)
-            num = space.ip.norm(space.interior(got, margin))
-            worst = max(worst, num / scale)
-    return worst, "Lambda_a = 0 on charge-zero states, a = 1..4"
+@_state_check(1, "Lambda_a = 0 on charge-zero states, a = 1..4")
+def _run_pauli_lubanski(s: Space):
+    # the velocity scale 1/lam keeps the check relative
+    return [_vanishes(s, s.pauli_lubanski(a), 1.0 / s.lam) for a in (1, 2, 3, 4)]
 
 
 # ---- acceleration ---------------------------------------------------------------
 
 
-def _run_acceleration(name: str, space: Space, config: CheckConfig):
-    """-i[V_i, U] against its decomposition for the potential ``name``."""
-    margin = max(_margin(config, 2), 2)
-    states = _states(space, config, margin)
-    pot = RadialFunction.from_callable(POTENTIALS[name], space.lam, space.n_max,
-                                       name=name)
-    worst = 0.0
-    for i in (1, 2, 3):
-        comm = space.acceleration(i, pot)
-        deco = space.acceleration_decomposed(i, pot)
-        for psi in states:
-            a, b = comm(psi), deco(psi)
-            worst = max(worst, _rel_residual(space, a - b, margin, [a, b, psi]))
-    return worst, f"margin {margin}, potential {name}"
+def _run_acceleration(name: str):
+    """Runner of -i[V_i, U] against its decomposition for the potential
+    ``name``."""
+    @_state_check(2, "margin {margin}, potential " + name, floor=2)
+    def run(s: Space):
+        pot = RadialFunction.from_callable(POTENTIALS[name], s.lam, s.n_max,
+                                           name=name)
+        return [_pair(s, s.acceleration(i, pot), s.acceleration_decomposed(i, pot))
+                for i in (1, 2, 3)]
+    return run
 
 
-def _run_acc_constant(space: Space, config: CheckConfig):
-    margin = _margin(config, 1)
-    states = _states(space, config, margin)
-    pot = RadialFunction.from_callable(lambda r: 3.7, space.lam, space.n_max,
+@_state_check(1, "constant potential gives zero acceleration (exactly)")
+def _run_acc_constant(s: Space):
+    pot = RadialFunction.from_callable(lambda r: 3.7, s.lam, s.n_max,
                                        name="const")
-    worst = 0.0
-    for i in (1, 2, 3):
-        comm = space.acceleration(i, pot)
-        for psi in states:
-            got = comm(psi)
-            num = space.ip.norm(space.interior(got, margin))
-            worst = max(worst, num * space.lam)  # velocity scale 1/lam
-    return worst, "constant potential gives zero acceleration (exactly)"
+    return [_vanishes(s, s.acceleration(i, pot), 1.0 / s.lam) for i in (1, 2, 3)]
 
 
-def _run_acc_full_h(space: Space, config: CheckConfig):
-    margin = max(_margin(config, 2), 2)
-    states = _states(space, config, margin)
-    pot = RadialFunction.from_callable(POTENTIALS["coulomb"], space.lam,
-                                       space.n_max, name="coulomb")
-    h = space.hamiltonian(pot)
-    u = space.radial_multiplication(pot)
-    worst = 0.0
-    for i in (1, 2, 3):
-        vi = space.velocity(i)
-        full = -1.0j * vi.commutator(h)
-        pot_only = -1.0j * vi.commutator(u)
-        for psi in states:
-            a, b = full(psi), pot_only(psi)
-            worst = max(worst, _rel_residual(space, a - b, margin, [a, b, psi]))
-    return worst, "-i[V_i, H0 + U] = -i[V_i, U]"
+@_state_check(2, "-i[V_i, H0 + U] = -i[V_i, U]", floor=2)
+def _run_acc_full_h(s: Space):
+    pot = RadialFunction.from_callable(POTENTIALS["coulomb"], s.lam,
+                                       s.n_max, name="coulomb")
+    h, u = s.hamiltonian(pot), s.radial_multiplication(pot)
+    return [_pair(s, -1.0j * s.velocity(i).commutator(h),
+                  -1.0j * s.velocity(i).commutator(u)) for i in (1, 2, 3)]
 
 
 # ---- hermiticity ----------------------------------------------------------------
@@ -699,9 +686,8 @@ def _run_comm_limit(space: Space, config: CheckConfig):
         for jdir in (1, 2, 3):
             got = sub.velocity(jdir)(f_state)
             want = sub.state(-1.0j * ((sub.x[jdir - 1] @ sub.rinv) @ df_diag))
-            num = sub.ip.norm(sub.interior(got - want, 2))
-            den = max(sub.ip.norm(sub.interior(want, 2)), _TINY)
-            worst = max(worst, num / den)
+            worst = max(worst, _rel_residual(sub, got - want, 2,
+                                             [sub.interior(want, 2)]))
         ratios.append(worst)
     decreasing = all(ratios[s + 1] < ratios[s] for s in range(len(ratios) - 1))
     rate = ratios[0] / max(ratios[-1], _TINY)
@@ -797,8 +783,7 @@ def _run_kappa1_diag(space: Space, config: CheckConfig):
     psi = space.random_state(config.seed, kappa=1, support_max=support)
     v1, v2 = space.velocity(1), space.velocity(2)
     comm = v1(v2(psi)) - v2(v1(psi))
-    num = space.ip.norm(space.interior(comm, margin))
-    return num / space.ip.norm(psi), \
+    return _rel_residual(space, comm, margin, [psi]), \
         "[V_1, V_2] psi on a kappa = 1 state (expected nonzero)"
 
 
@@ -890,13 +875,13 @@ CHECKS: List[CheckSpec] = [
         lambda s: [(s.velocity(i), s.free_hamiltonian(), ()) for i in (1, 2, 3)]),
     CheckSpec("acceleration.r2", "acceleration",
               "-i[V_i, U] equals its decomposition, U = r^2",
-              functools.partial(_run_acceleration, "r2")),
+              _run_acceleration("r2")),
     CheckSpec("acceleration.coulomb", "acceleration",
               "-i[V_i, U] equals its decomposition, U = -1/r",
-              functools.partial(_run_acceleration, "coulomb")),
+              _run_acceleration("coulomb")),
     CheckSpec("acceleration.exp", "acceleration",
               "-i[V_i, U] equals its decomposition, U = exp(-r)",
-              functools.partial(_run_acceleration, "exp")),
+              _run_acceleration("exp")),
     CheckSpec("acceleration.constant", "acceleration",
               "constant potential gives zero acceleration",
               _run_acc_constant, tol=1e-12),
@@ -954,7 +939,8 @@ SUITES = tuple(sorted({c.suite for c in CHECKS}))
 
 def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
     """Parser of a comma-separated list of ``item`` values."""
-    return lambda text: tuple(item(v.strip()) for v in text.split(","))
+    return lambda text: tuple(item(v.strip()) for v in text.split(",")) \
+        if text.strip() else ()
 
 
 def _joined(values) -> str:

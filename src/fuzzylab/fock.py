@@ -10,13 +10,20 @@ The space is truncated with a hard cutoff at total occupation ``n_max``:
 a+ annihilates the top shell.  Identities that are exact in the full space
 remain exact on the truncation only away from the cutoff shell, which is
 what :func:`interior_projection` is for.
+
+A dense state is stored as one packed vector per charge kappa it holds
+(:meth:`FockBasis.packing`): sums, inner products, interior projections and
+state products (shell block by shell block) work on those vectors, and the
+dim x dim array is only a read-only view.  Sparse states (sector states, x_j,
+f(r)) keep their scipy matrix and its products.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,8 +59,6 @@ for _perm, _sgn in ((((0, 1, 2)), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                     ((2, 1, 0), -1), ((0, 2, 1), -1), ((1, 0, 2), -1)):
     EPS3[_perm] = _sgn
 
-Matrix = Union[np.ndarray, sp.spmatrix]
-
 
 @dataclass(frozen=True)
 class Packing:
@@ -64,14 +69,21 @@ class Packing:
     row i are the whole right shell shell(i) - kappa, so entry (i, k) sits at
     ``offset[i] + k - start(shell(k))``; ``flat`` holds ``i * dim + k`` of
     every packed entry, for gathering from and scattering into dense states.
+    The rows of shell n fill ``bounds[n]:bounds[n + 1]``, which is the block
+    (n, n - kappa) in row-major order.
     """
 
     offset: np.ndarray
     flat: np.ndarray
+    bounds: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.flat)
+
+    def block(self, vector: np.ndarray, n: int) -> np.ndarray:
+        """The block of the row shell n of a packed vector, as a view."""
+        return vector[self.bounds[n]:self.bounds[n + 1]].reshape(n + 1, -1)
 
 
 @dataclass(frozen=True)
@@ -108,23 +120,17 @@ class FockBasis:
             rows = np.repeat(np.arange(self.dim), length)
             within = np.arange(len(rows)) - offset[rows]
             first = right[rows] * (right[rows] + 1) // 2
-            got = Packing(offset, rows * self.dim + first + within)
+            starts = np.arange(self.n_max + 2) * np.arange(1, self.n_max + 3) // 2
+            bounds = np.append(offset, len(rows))[starts]
+            got = Packing(offset, rows * self.dim + first + within, bounds)
             self._packings[kappa] = got
         return got
 
     def charges(self, matrix: np.ndarray) -> np.ndarray:
         """Charges shell(i) - shell(k) of the nonzero entries of a dense
-        matrix, found block by block."""
-        starts = np.arange(self.n_max + 1) * np.arange(1, self.n_max + 2) // 2
-        # one bit per real and imaginary part, packed eight to a byte, so
-        # the reduction over each row shell runs on bytes
-        parts = np.ascontiguousarray(matrix, dtype=complex).view(float)
-        bits = np.packbits(parts != 0, axis=1)
-        rows = np.bitwise_or.reduceat(bits, starts, axis=0)
-        rows = np.unpackbits(rows, axis=1, count=parts.shape[1])
-        blocks = np.logical_or.reduceat(rows, 2 * starts, axis=1)
-        left, right = np.nonzero(blocks)
-        return np.unique(left - right)
+        matrix (a NaN counts, a negative zero does not)."""
+        left, right = np.nonzero(np.asarray(matrix) != 0)
+        return np.unique(self.shells[left] - self.shells[right])
 
 
 def enumerate_basis(n_max: int) -> FockBasis:
@@ -202,34 +208,55 @@ def radial_matrix(basis: FockBasis, lam: float) -> FockMatrix:
     return FockMatrix(basis, sp.diags(diag, format="csr", dtype=complex))
 
 
-def _absmax(matrix: Matrix) -> float:
-    if sp.issparse(matrix):
-        return 0.0 if matrix.nnz == 0 else float(np.abs(matrix.data).max())
-    return float(np.abs(matrix).max()) if matrix.size else 0.0
-
-
-@dataclass
 class NCState:
     """An operator-valued wave function on the truncated Fock space.
 
     Physical (scalar) states have charge kappa = 0: only blocks with equal
-    left/right total occupation are populated, so [N, psi] = 0.  The matrix
-    may be dense or sparse; shell bookkeeping works on either.
+    left/right total occupation are populated, so [N, psi] = 0.  ``matrix``
+    is a dict {kappa: packed vector} (kept as ``parts``), a dense array
+    (packed once, per charge of :meth:`FockBasis.charges`: a NaN counts, a
+    negative zero does not) or a scipy sparse matrix (kept; ``parts`` is
+    None).
     """
 
-    basis: FockBasis
-    matrix: Matrix
+    def __init__(self, basis: FockBasis, matrix):
+        self.basis, self.parts, self._sparse = basis, None, None
+        if isinstance(matrix, dict):
+            self.parts = matrix
+        elif sp.issparse(matrix):
+            self._sparse = matrix
+        else:
+            flat = np.asarray(matrix, dtype=complex).reshape(-1)
+            self.parts = {int(k): flat[basis.packing(k).flat]
+                          for k in basis.charges(matrix)}
+
+    @property
+    def matrix(self):
+        """The sparse matrix, or a read-only dense view of the parts."""
+        if self.parts is None:
+            return self._sparse
+        out = self.dense()
+        out.flags.writeable = False
+        return out
 
     def dense(self) -> np.ndarray:
-        if sp.issparse(self.matrix):
-            return self.matrix.toarray()
-        return np.asarray(self.matrix)
+        """A new dim x dim array of the state."""
+        if self.parts is None:
+            return self._sparse.toarray()
+        out = np.zeros(self.basis.dim ** 2, dtype=complex)
+        for k, v in self.parts.items():
+            out[self.basis.packing(k).flat] = v
+        return out.reshape(self.basis.dim, self.basis.dim)
+
+    def packed(self) -> "NCState":
+        """The state with packed vectors (itself unless it is sparse)."""
+        return self if self.parts is not None else NCState(self.basis, self.dense())
 
     def _census(self, tol: float):
         """Left and right shells of every entry above ``tol`` times the
         largest entry."""
         coo = sp.coo_matrix(self.matrix)
-        keep = np.abs(coo.data) > tol * _absmax(self.matrix)
+        keep = np.abs(coo.data) > tol * self.absmax()
         shells = self.basis.shells
         return shells[coo.row[keep]], shells[coo.col[keep]]
 
@@ -247,24 +274,51 @@ class NCState:
         left, right = self._census(tol)
         return int(max(left.max(initial=-1), right.max(initial=-1)))
 
-    def __add__(self, other: "NCState") -> "NCState":
+    def _combine(self, other: "NCState", op) -> "NCState":
         _check_same_basis(self, other)
-        return NCState(self.basis, self.matrix + other.matrix)
+        if self.parts is None and other.parts is None:
+            return NCState(self.basis, op(self._sparse, other._sparse))
+        a, b = self.packed().parts, other.packed().parts
+        return NCState(self.basis, {k: op(a.get(k, 0.0), b.get(k, 0.0))
+                                    for k in sorted(a.keys() | b.keys())})
+
+    def __add__(self, other: "NCState") -> "NCState":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "NCState") -> "NCState":
-        _check_same_basis(self, other)
-        return NCState(self.basis, self.matrix - other.matrix)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, scalar: complex) -> "NCState":
-        return NCState(self.basis, self.matrix * scalar)
+        if self.parts is None:
+            return NCState(self.basis, self._sparse * scalar)
+        return NCState(self.basis, {k: v * scalar for k, v in self.parts.items()})
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "NCState":
-        return NCState(self.basis, -self.matrix)
+        return self * (-1.0)
+
+    def __matmul__(self, other: "NCState") -> "NCState":
+        """The operator product of two states, packed: the charge-(ka + kb)
+        block of row shell n is block (n, n - ka) of the first state times
+        block (n - ka, n - ka - kb) of the second."""
+        _check_same_basis(self, other)
+        basis, n_max = self.basis, self.basis.n_max
+        out = {}
+        for ka, va in sorted(self.packed().parts.items()):
+            for kb, vb in sorted(other.packed().parts.items()):
+                pa, pb, pc = (basis.packing(k) for k in (ka, kb, ka + kb))
+                y = np.zeros(pc.size, dtype=complex)
+                for n in range(max(0, ka, ka + kb),
+                               min(n_max, n_max + ka, n_max + ka + kb) + 1):
+                    np.matmul(pa.block(va, n), pb.block(vb, n - ka),
+                              out=pc.block(y, n))
+                out[ka + kb] = out[ka + kb] + y if ka + kb in out else y
+        return NCState(basis, out)
 
     def absmax(self) -> float:
-        return _absmax(self.matrix)
+        vals = [self._sparse.data] if self.parts is None else self.parts.values()
+        return max((float(np.abs(v).max()) for v in vals if v.size), default=0.0)
 
 
 def _check_same_basis(a: NCState, b: NCState) -> None:
@@ -287,23 +341,28 @@ class WeightedInnerProduct:
     def __post_init__(self):
         self.r_diag = self.lam * (self.basis.shells.astype(float) + 1.0)
         self._r_sparse = sp.diags(self.r_diag)
-        self._shell_rows = [(self.lam * (n + 1.0), self.basis.shell_slice(n))
-                            for n in range(self.basis.n_max + 1)]
+        self._weights = {}
+
+    def _weights_of(self, kappa: int) -> np.ndarray:
+        """r of the row of every packed charge-kappa entry (cached)."""
+        if kappa not in self._weights:
+            flat = self.basis.packing(kappa).flat
+            self._weights[kappa] = self.r_diag[flat // self.basis.dim]
+        return self._weights[kappa]
 
     def __call__(self, phi: NCState, psi: NCState) -> complex:
         _check_same_basis(phi, psi)
         if phi.basis.n_max != self.basis.n_max:
             raise ValueError("state basis does not match inner product basis")
-        a, b = phi.matrix, psi.matrix
-        if sp.issparse(a) or sp.issparse(b):
-            a = sp.csr_matrix(a)
-            b = sp.csr_matrix(b)
+        if phi.parts is None or psi.parts is None:
+            a = sp.csr_matrix(phi.matrix)
+            b = sp.csr_matrix(psi.matrix)
             prod = a.conj().multiply(self._r_sparse @ b)
             tr = prod.sum()
         else:
-            # r is constant on each shell and a shell's rows are contiguous,
-            # so the trace needs no weighted temporary
-            tr = sum(r * np.vdot(a[rows], b[rows]) for r, rows in self._shell_rows)
+            a, b = phi.parts, psi.parts
+            tr = sum(np.vdot(a[k], self._weights_of(k) * b[k])
+                     for k in sorted(a.keys() & b.keys()))
         return complex(4.0 * np.pi * self.lam**2 * tr)
 
     def norm(self, psi: NCState) -> float:
@@ -314,16 +373,6 @@ class WeightedInnerProduct:
 def inner_product(phi: NCState, psi: NCState, w: WeightedInnerProduct) -> complex:
     """Weighted inner product of two states (same basis required)."""
     return w(phi, psi)
-
-
-def admissible_blocks(basis: FockBasis, kappa: int, support_max: int):
-    """Shell pairs (N_left, N_right) allowed for the given charge/support."""
-    pairs = []
-    for nl in range(basis.n_max + 1):
-        nr = nl - kappa
-        if 0 <= nr <= basis.n_max and max(nl, nr) <= support_max:
-            pairs.append((nl, nr))
-    return pairs
 
 
 def random_state(basis: FockBasis, seed: int, kappa: int, support_max: int,
@@ -338,12 +387,14 @@ def random_state(basis: FockBasis, seed: int, kappa: int, support_max: int,
     if abs(kappa) > support_max:
         raise ValueError(f"no blocks with kappa={kappa} below shell {support_max}")
     rng = np.random.default_rng(seed)
-    m = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for nl, nr in admissible_blocks(basis, kappa, support_max):
-        sl, sr = basis.shell_slice(nl), basis.shell_slice(nr)
-        shape = (sl.stop - sl.start, sr.stop - sr.start)
-        m[sl, sr] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    state = NCState(basis, m)
+    packing = basis.packing(kappa)
+    v = np.zeros(packing.size, dtype=complex)
+    # blocks (nl, nl - kappa) with both shells in [0, support_max], in order
+    for nl in range(max(kappa, 0), min(support_max, support_max + kappa) + 1):
+        shape = (nl + 1, nl - kappa + 1)
+        packing.block(v, nl)[:] = rng.standard_normal(shape) \
+            + 1j * rng.standard_normal(shape)
+    state = NCState(basis, {kappa: v})
     nrm = w.norm(state)
     if nrm == 0.0:
         raise ValueError("empty block set for the requested (kappa, support_max)")
@@ -356,17 +407,18 @@ def interior_projection(psi: NCState, margin: int) -> NCState:
     if not 0 <= margin <= n_max:
         raise ValueError("margin must satisfy 0 <= margin <= n_max")
     cut = n_max - margin
-    shells = psi.basis.shells
-    if sp.issparse(psi.matrix):
+    if psi.parts is None:
+        shells = psi.basis.shells
         coo = psi.matrix.tocoo()
         keep = (shells[coo.row] <= cut) & (shells[coo.col] <= cut)
         out = sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
                             shape=coo.shape).tocsr()
         return NCState(psi.basis, out)
-    # shells are contiguous and ascending: the kept entries form one corner
-    keep = psi.basis.shell_slice(cut).stop
-    out = np.zeros_like(psi.matrix)
-    out[:keep, :keep] = psi.matrix[:keep, :keep]
+    # a charge-k entry is kept when its row shell is at most min(cut, cut + k);
+    # rows are packed by ascending shell, so the kept entries are a prefix
+    out = {k: v.copy() for k, v in psi.parts.items()}
+    for k, v in out.items():
+        v[psi.basis.packing(k).bounds[max(min(cut, cut + k) + 1, 0)]:] = 0.0
     return NCState(psi.basis, out)
 
 

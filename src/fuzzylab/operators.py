@@ -17,10 +17,10 @@ exact; the sum of composed bandwidths is always a safe margin.
 
 A SuperOp is an expression tree whose leaves multiply the state from the
 left or the right by a fixed matrix.  A sparse state walks the tree with
-scipy products.  A dense state is applied charge by charge: the tree is
+scipy products.  A packed state is applied charge by charge: the tree is
 compiled once per charge into one sparse matrix on the packed vector of that
-charge's entries (see :meth:`FockBasis.packing`), so an application is a
-gather, one matvec and a scatter.
+charge's entries (see :meth:`FockBasis.packing`), so an application is one
+matvec per charge the state holds.
 """
 
 from __future__ import annotations
@@ -91,10 +91,17 @@ class SuperOp:
     def __call__(self, psi: NCState) -> NCState:
         if psi.basis.n_max != self.basis.n_max:
             raise ValueError("state and operator live on different bases")
-        m = psi.matrix
-        if sp.issparse(m):
-            return NCState(psi.basis, self._walk(m))
-        return NCState(psi.basis, self._apply_packed(m))
+        if psi.parts is None:
+            return NCState(psi.basis, self._walk(psi.matrix))
+        out = {}
+        for kappa, x in sorted(psi.parts.items()):
+            outs, checks = self._compile(kappa)
+            if any(np.any(c @ x) for c in checks):
+                raise ValueError("coefficient pole hit an occupied shell")
+            for k, mat in outs.items():
+                y = mat @ x
+                out[k] = out[k] + y if k in out else y
+        return NCState(psi.basis, out)
 
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
         return SuperOp(self.basis, "compose", (self, other),
@@ -153,7 +160,7 @@ class SuperOp:
             raise ValueError("coefficient pole hit an occupied shell")
         return sp.csr_matrix((vals, (cur.row, cur.col)), shape=cur.shape)
 
-    # -- dense states: one matvec per charge on packed vectors --------------
+    # -- packed states: one compiled matrix per charge ---------------------
 
     def packed_matrix(self, kappa: int = 0) -> sp.csr_matrix:
         """The compiled map of a charge-preserving operator on packed
@@ -163,25 +170,6 @@ class SuperOp:
             raise ValueError(f"{self.name} is not one matrix on charge {kappa}")
         size = self.basis.packing(kappa).size
         return outs.get(kappa, sp.csr_matrix((size, size), dtype=complex))
-
-    def _apply_packed(self, m: np.ndarray) -> np.ndarray:
-        """Gather each charge's packed vector, one matvec, scatter."""
-        basis = self.basis
-        m = np.ascontiguousarray(m)
-        src = m.reshape(-1)
-        packed = {}
-        for kappa in basis.charges(m):
-            x = src[basis.packing(kappa).flat]
-            outs, checks = self._compile(kappa)
-            if any(np.any(c @ x) for c in checks):
-                raise ValueError("coefficient pole hit an occupied shell")
-            for k, mat in outs.items():
-                y = mat @ x
-                packed[k] = packed[k] + y if k in packed else y
-        out = np.zeros(src.size, dtype=complex)
-        for k, y in packed.items():
-            out[basis.packing(k).flat] = y  # write-only: no read of fresh pages
-        return out.reshape(m.shape)
 
     def _compile(self, kappa: int, keep: bool = True):
         """(maps, checks) on packed charge-kappa input: ``maps[k]`` takes it
@@ -569,13 +557,14 @@ class Space:
 
         The defect in the Leibniz rule: V_i(AB) = (V_i A)B + A(V_i B) + K_i(A, B).
         """
+        A, B = A.packed(), B.packed()
         s = None
         for (al, be), c in _sigma_pairs(i - 1):
             up = self._ladder_commutator(al + 1, True)
             down = self._ladder_commutator(be + 1, False)
-            t = c * (up(A).matrix @ down(B).matrix - down(A).matrix @ up(B).matrix)
+            t = c * (up(A) @ down(B) - down(A) @ up(B))
             s = t if s is None else s + t
-        return NCState(self.basis, -0.5j * (self.rinv @ s))
+        return -0.5j * self._rinv()(s)
 
     # -- central potentials and acceleration -------------------------------
 

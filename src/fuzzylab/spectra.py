@@ -242,9 +242,7 @@ def solve_sector(space: Space, j: int, potential: Optional[CentralPotential] = N
         lam=space.lam, n_max=space.n_max, j=j,
         potential=potential.name if potential is not None else "free",
         boundary=boundary, eigenvalues=evals, eigenvectors=evecs,
-        metadata={"grid": grid.tolist(),
-                  "eigen_residual_tol": 1e-8,
-                  "margin": 0 if boundary == "hard" else 1})
+        metadata={"grid": grid.tolist()})
 
 
 def commutative_oracle(grid: np.ndarray, h: float, j: int,

@@ -109,3 +109,21 @@ def test_spectrum_has_no_seed_flag(capsys):
         main(["spectrum", "--seed", "3"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["suites", "lams", "n_maxes"])
+def test_empty_lists_round_trip_as_text(field):
+    config = CheckConfig(**{field: ()})
+    assert getattr(parse_config_text(config.to_text()), field) == ()
+    assert parse_config_text(config.to_text()) == config
+
+
+def test_empty_lambda_list_is_rejected_by_the_config_gate(tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(CheckConfig(lams=()).to_text())
+    _no_check_may_run(monkeypatch)
+    assert main(["check", "--config", "run.cfg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no lambda given\n" and captured.out == ""
+    assert run_suite(CheckConfig(suites=())).records == []

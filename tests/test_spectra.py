@@ -443,3 +443,9 @@ def test_sector_solve_does_not_import_scipy_linalg():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_solve_sector_metadata_is_the_grid(space):
+    res = spc.solve_sector(space, 1, None, boundary="dirichlet")
+    assert list(res.metadata) == ["grid"]
+    assert res.metadata["grid"] == list(space.lam * np.arange(2.0, 9.0))
