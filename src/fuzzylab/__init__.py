@@ -9,9 +9,10 @@ the weighted norm 4 pi lam^2 Tr[psi+ r psi].  The package provides
   deformed Laplacian, the modified Leibniz correction, acceleration, and the
   E(4) invariants as superoperators with declared shell bandwidths;
 * :mod:`fuzzylab.algebra` / :mod:`fuzzylab.identities` -- an exact
-  normal-ordering rewriting engine that proves the structural identities
-  (velocity form, Leibniz correction sum, [V_i, V_j] = 0, the quadratic
-  velocity-Hamiltonian relation, the acceleration decomposition);
+  normal-ordering rewriting engine on sympy, loaded on first use, that
+  proves the structural identities (velocity form, Leibniz correction sum,
+  [V_i, V_j] = 0, the quadratic velocity-Hamiltonian relation, the
+  acceleration decomposition);
 * :mod:`fuzzylab.spectra` -- angular sectors, radial reduction, the kinetic
   cutoff 2/lam^2, and a finite-difference oracle for the commutative limit;
 * :mod:`fuzzylab.checks` / :mod:`fuzzylab.cli` -- runnable verification
@@ -25,10 +26,6 @@ from .fock import (FockBasis, FockMatrix, NCState, WeightedInnerProduct,
                    interior_projection, ladder_matrix, radial_matrix,
                    random_state, state_from_text, state_to_text)
 from .operators import RadialFunction, Space, SuperOp
-from .algebra import (AlgebraExpr, aL, aL_dag, aR, aR_dag, coeff,
-                      commutator_symbolic, expr_from_text, expr_to_text,
-                      normal_order, one, to_superop)
-from .identities import IDENTITY_NAMES, check_identity, cross_validate
 from .spectra import (AngularSector, CentralPotential, SpectrumResult,
                       build_sector, commutative_oracle, convergence_study,
                       eigen_solve, full_kappa0_spectrum, reduce_hamiltonian,
@@ -54,3 +51,25 @@ __all__ = [
     "CheckConfig", "POTENTIALS", "SUITES", "run_suite",
     "CheckRecord", "VerificationReport", "emit_report",
 ]
+
+#: the symbolic names, imported on first use so that numeric work never
+#: loads sympy (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("AlgebraExpr", "aL", "aL_dag", "aR", "aR_dag", "coeff",
+                     "one", "normal_order", "commutator_symbolic",
+                     "expr_to_text", "expr_from_text", "to_superop"),
+                    "algebra"),
+    **dict.fromkeys(("IDENTITY_NAMES", "check_identity", "cross_validate"),
+                    "identities"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

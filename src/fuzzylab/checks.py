@@ -25,7 +25,6 @@ import scipy.sparse as sp
 from .fock import EPS3, NCState
 from .operators import RadialFunction, Space, SuperOp
 from .report import FORMATS, CheckRecord, VerificationReport
-from . import identities as idn
 from . import spectra as spc
 
 __all__ = ["CheckConfig", "CheckSkipped", "CHECK_IDS", "OPTIONS", "SUITES",
@@ -572,14 +571,18 @@ def _run_hermiticity(space: Space, config: CheckConfig):
            space.radial(), space.velocity(1), space.velocity(3),
            space.velocity4(), space.free_hamiltonian()]
     worst = 0.0
+    by_margin = {}
     for op in ops:
         margin = max(_margin(config, op.bandwidth), op.bandwidth)
-        states = _states(space, config, margin, at_least=2)
+        if margin not in by_margin:
+            by_margin[margin] = _states(space, config, margin, at_least=2)
+        states = by_margin[margin]
+        images = [op(s) for s in states]
         for t in range(len(states) - 1):
-            phi, psi = states[t], states[t + 1]
-            a = space.ip(phi, op(psi))
-            b = space.ip(op(phi), psi)
-            scale = max(space.ip.norm(op(psi)) * space.ip.norm(phi), _TINY)
+            phi, psi, op_psi = states[t], states[t + 1], images[t + 1]
+            a = space.ip(phi, op_psi)
+            b = space.ip(images[t], psi)
+            scale = max(space.ip.norm(op_psi) * space.ip.norm(phi), _TINY)
             worst = max(worst, abs(a - b) / scale)
     return worst, "<phi, O psi> = <O phi, psi> for L, X, V, V4, H0"
 
@@ -735,6 +738,7 @@ def _run_coulomb_oracle(j: int, space: Space, config: CheckConfig):
 
 def _run_symbolic_proofs(space: Space, config: CheckConfig):
     """Surviving residual terms plus failed intermediates over all proofs."""
+    from . import identities as idn
     bad, count = [], 0
     for name in idn.IDENTITY_NAMES:
         res = idn.check_identity(name)
@@ -747,11 +751,13 @@ def _run_symbolic_proofs(space: Space, config: CheckConfig):
 
 
 def _run_pauli_lemmas(space: Space, config: CheckConfig):
+    from . import identities as idn
     residual = idn.anticommutator_residual() + idn.fierz_residual()
     return float(residual), "anticommutator, trace and Fierz identities exact"
 
 
 def _run_cross_validation(space: Space, config: CheckConfig):
+    from . import identities as idn
     sub = Space(8, space.lam)
     worst = 0.0
     pairs = [

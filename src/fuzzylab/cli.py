@@ -26,7 +26,6 @@ from .checks import (OPTIONS, CheckConfig, parse_config_text, potential_fn,
                      run_suite, validate_lambda)
 from .operators import RadialFunction, Space
 from .report import FORMATS, emit_report
-from . import identities as idn
 from . import spectra as spc
 
 
@@ -57,6 +56,12 @@ def _check_points(points, j: float, boundary: str = "dirichlet") -> int:
     return j
 
 
+#: ``identities.IDENTITY_NAMES``, spelled out so that building the parser
+#: does not import sympy (a test keeps the two equal)
+PROVE_NAMES = ("velocity-form", "correction-sum", "velocity-commutator",
+               "quadratic-relation", "acceleration")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzylab",
@@ -78,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prove = sub.add_parser("prove", help="run the symbolic identity library")
     p_prove.add_argument("--identity", type=str, default="all",
-                         help=f"one of {idn.IDENTITY_NAMES} or 'all'")
+                         help=f"one of {PROVE_NAMES} or 'all'")
     p_prove.add_argument("--out", type=str, default=None,
                          help="write the proof transcript here")
 
@@ -141,6 +146,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from . import identities as idn
     names = idn.IDENTITY_NAMES if args.identity == "all" else (args.identity,)
     chunks, all_ok = [], True
     for name in names:
@@ -284,15 +290,9 @@ def _cmd_converge(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "prove":
-        return _cmd_prove(args)
-    if args.command == "spectrum":
-        return _cmd_spectrum(args)
-    if args.command == "converge":
-        return _cmd_converge(args)
-    raise AssertionError("unreachable")
+    commands = {"check": _cmd_check, "prove": _cmd_prove,
+                "spectrum": _cmd_spectrum, "converge": _cmd_converge}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import platform
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
@@ -25,14 +26,19 @@ def environment_fingerprint() -> dict:
     """Build identifiers that pin a report to its numeric environment."""
     import numpy
     import scipy
-    import sympy
     from . import __version__
+    sympy = sys.modules.get("sympy")
+    if sympy is not None:
+        sympy_version = sympy.__version__
+    else:  # a numeric run: read the version without importing sympy
+        from importlib.metadata import version
+        sympy_version = version("sympy")
     return {
         "fuzzylab": __version__,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "sympy": sympy.__version__,
+        "sympy": sympy_version,
     }
 
 #: column order of the CSV emitter (documented in the CLI help)

@@ -124,3 +124,32 @@ def test_hermiticity_pairs_two_states_even_when_one_is_asked():
     for check_id in ("hermiticity.inner_product", "hermiticity.operators"):
         assert records[check_id].residual > 0.0
         assert records[check_id].passed
+
+
+def test_hermiticity_applies_each_operator_once_with_the_same_residual(
+        monkeypatch):
+    space, config = Space(16, 0.1), CheckConfig(seed=11)
+    ops = [space.angular_momentum(1), space.angular_momentum(3),
+           space.position(1), space.position(2), space.position_left(3),
+           space.radial(), space.velocity(1), space.velocity(3),
+           space.velocity4(), space.free_hamiltonian()]
+    old = 0.0
+    for op in ops:
+        margin = max(checks._margin(config, op.bandwidth), op.bandwidth)
+        states = checks._states(space, config, margin, at_least=2)
+        for t in range(len(states) - 1):
+            phi, psi = states[t], states[t + 1]
+            a = space.ip(phi, op(psi))
+            b = space.ip(op(phi), psi)
+            scale = max(space.ip.norm(op(psi)) * space.ip.norm(phi),
+                        checks._TINY)
+            old = max(old, abs(a - b) / scale)
+    margins = {max(checks._margin(config, op.bandwidth), op.bandwidth)
+               for op in ops}
+    drawn = []
+    draw = space.random_state
+    monkeypatch.setattr(space, "random_state",
+                        lambda *args: drawn.append(args) or draw(*args))
+    new, _ = checks._run_hermiticity(space, config)
+    assert new == old
+    assert len(drawn) == len(margins) * config.n_states

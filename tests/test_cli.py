@@ -138,6 +138,21 @@ def test_cli_prove(tmp_path):
     assert "verdict: proved" in out.read_text()
 
 
+def test_prove_help_lists_the_identity_names(capsys):
+    from fuzzylab import cli, identities
+    assert cli.PROVE_NAMES == identities.IDENTITY_NAMES
+    with pytest.raises(SystemExit):
+        main(["prove", "--help"])
+    help_text = "".join(capsys.readouterr().out.split())
+    assert "".join(str(identities.IDENTITY_NAMES).split()) in help_text
+
+
+def test_cli_prove_rejects_unknown_identity(capsys):
+    assert main(["prove", "--identity", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bogus" in err
+
+
 def test_cli_spectrum_files_and_determinism(tmp_path):
     args = ["spectrum", "--potential", "coulomb", "--q", "1", "--j", "0",
             "--lambda", "0.8,0.4,0.2", "--nmax", "9,19,39", "--format", "csv",
