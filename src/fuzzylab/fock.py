@@ -350,10 +350,13 @@ class WeightedInnerProduct:
             self._weights[kappa] = self.r_diag[flat // self.basis.dim]
         return self._weights[kappa]
 
-    def __call__(self, phi: NCState, psi: NCState) -> complex:
+    def _check_basis(self, phi: NCState, psi: NCState) -> None:
         _check_same_basis(phi, psi)
         if phi.basis.n_max != self.basis.n_max:
             raise ValueError("state basis does not match inner product basis")
+
+    def __call__(self, phi: NCState, psi: NCState) -> complex:
+        self._check_basis(phi, psi)
         if phi.parts is None or psi.parts is None:
             a = sp.csr_matrix(phi.matrix)
             b = sp.csr_matrix(psi.matrix)
@@ -364,6 +367,17 @@ class WeightedInnerProduct:
             tr = sum(np.vdot(a[k], self._weights_of(k) * b[k])
                      for k in sorted(a.keys() & b.keys()))
         return complex(4.0 * np.pi * self.lam**2 * tr)
+
+    def by_shell(self, phi: NCState, psi: NCState) -> np.ndarray:
+        """<phi, psi> split by the shell of the row: entry N sums the rows of
+        shell N, so the entries add up to ``self(phi, psi)``."""
+        self._check_basis(phi, psi)
+        a = sp.csr_matrix(phi.matrix)
+        prod = a.conj().multiply(self._r_sparse @ sp.csr_matrix(psi.matrix))
+        ends = prod.indptr[[self.basis.shell_slice(n).start
+                            for n in range(self.basis.n_max + 2)]]
+        sums = [prod.data[lo:hi].sum() for lo, hi in zip(ends[:-1], ends[1:])]
+        return 4.0 * np.pi * self.lam**2 * np.asarray(sums, dtype=complex)
 
     def norm(self, psi: NCState) -> float:
         val = self(psi, psi)

@@ -9,9 +9,11 @@ States of sharp angular momentum are built from monomials of total degree
 summed over m1 + m2 = n1 + n2 = j and (m1 - m2) - (n1 - n2) = 2m; the state
 lives on the total shell N = n + j.  Only integer j occurs for charge-zero
 states.  A sector's shells must be distinct, so its states have disjoint
-support and a diagonal Gram matrix; reducing a superoperator computes only
-the entries within its declared shell bandwidth (the rest vanish exactly),
-and H = H0 + U(r) reduces to a hermitian tridiagonal radial matrix.
+support and a diagonal Gram matrix; reducing a superoperator of shell
+bandwidth w computes only the entries within that bandwidth (the rest
+vanish exactly) and walks the operator tree once per group of states 2w + 1
+radial indices apart, whose images do not overlap, instead of once per
+state.  H = H0 + U(r) reduces to a hermitian tridiagonal radial matrix;
 ``solve_sector`` takes it in closed form (``radial_hamiltonian``), with no
 sector state; the reduction is the reference it is checked against.
 
@@ -26,7 +28,9 @@ finite-difference oracle.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -162,31 +166,36 @@ def radial_hamiltonian(space: Space, j: int,
     return mat, lam * (shells + 1.0)
 
 
-def _gram_inverse_sqrt(space: Space, sector: AngularSector) -> np.ndarray:
-    """Diagonal of G^-1/2; G is diagonal because the shells are distinct."""
-    if np.any(np.diff(sector.shells) <= 0):
-        raise ValueError("sector shells must be strictly ascending for a "
-                         "diagonal Gram matrix")
-    g = np.array([space.ip(s, s).real for s in sector.states])
-    if g.min() <= 0 or g.max() / g.min() > GRAM_CONDITION_LIMIT:
-        raise ValueError("ill-conditioned sector Gram matrix "
-                         f"(cond ~ {g.max() / max(g.min(), 1e-300):.2e})")
-    return 1.0 / np.sqrt(g)
-
-
 def reduce_superop(space: Space, sector: AngularSector, op: SuperOp) -> np.ndarray:
     """Matrix of a sector-preserving superoperator in the orthonormal radial basis.
 
-    Only entries with |a - b| <= ``op.bandwidth`` are computed; the others
-    pair states on shells further apart than the operator reaches.
+    Only entries with |a - b| <= w = ``op.bandwidth`` are computed; the others
+    pair states on shells further apart than the operator reaches.  States
+    2w + 1 radial indices apart have images on disjoint shells, so ``op``
+    is applied once to the sum of each group ``states[c::2w+1]``, and one
+    product of that image with the sum of all sector states, split by row
+    shell, holds every <s_a, op s_b> of the group.  The Gram matrix is
+    diagonal (the shells are distinct) and is read the same way.
     """
+    shells = sector.shells.astype(int)
+    if np.any(np.diff(shells) <= 0):
+        raise ValueError("sector shells must be strictly ascending for a "
+                         "diagonal Gram matrix")
     d, w = sector.dim, op.bandwidth
-    ginv = _gram_inverse_sqrt(space, sector)
+    total = functools.reduce(operator.add, sector.states)
+    g = space.ip.by_shell(total, total)[shells].real
+    if g.min() <= 0 or g.max() / g.min() > GRAM_CONDITION_LIMIT:
+        raise ValueError("ill-conditioned sector Gram matrix "
+                         f"(cond ~ {g.max() / max(g.min(), 1e-300):.2e})")
+    ginv = 1.0 / np.sqrt(g)
     out = np.zeros((d, d), dtype=complex)
-    for b, sb in enumerate(sector.states):
-        u = op(sb)
-        for a in range(max(b - w, 0), min(b + w + 1, d)):
-            out[a, b] = ginv[a] * space.ip(sector.states[a], u) * ginv[b]
+    stride = 2 * w + 1
+    for c in range(min(stride, d)):
+        image = op(functools.reduce(operator.add, sector.states[c::stride]))
+        col = space.ip.by_shell(total, image)[shells]
+        for b in range(c, d, stride):
+            a = slice(max(b - w, 0), min(b + w + 1, d))
+            out[a, b] = ginv[a] * col[a] * ginv[b]
     return out
 
 

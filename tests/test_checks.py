@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzylab import checks
 from fuzzylab.checks import CheckConfig, run_suite
@@ -153,3 +155,115 @@ def test_hermiticity_applies_each_operator_once_with_the_same_residual(
     new, _ = checks._run_hermiticity(space, config)
     assert new == old
     assert len(drawn) == len(margins) * config.n_states
+
+
+def _old_comm_limit_passes(res):
+    """The 0/1 verdict ``velocity.comm_limit`` reported before it measured."""
+    decreasing = all(res[s + 1] < res[s] for s in range(len(res) - 1))
+    return decreasing and res[0] / max(res[-1], checks._TINY) > 8.0
+
+
+def _comm_limit_passes(res):
+    spec = next(c for c in checks.CHECKS if c.check_id == "velocity.comm_limit")
+    return checks._shrink_residual(res) <= spec.tol
+
+
+_UP, _DOWN = (lambda x: float(np.nextafter(x, np.inf)),
+              lambda x: float(np.nextafter(x, 0.0)))
+
+
+@pytest.mark.parametrize("res", [
+    [6.68e-3, 1.67e-3, 4.17e-4], [8.0, 2.0, 1.0], [8.0, 2.0, _DOWN(1.0)],
+    [8.0, 2.0, _UP(1.0)], [3.0, 3.0, 0.1], [3.0, _DOWN(3.0), 0.1],
+    [1.0, 2.0, 0.01], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.5, 0.0],
+    [float("nan"), 0.1, 0.01], [1.0, float("nan"), 0.01],
+    [1.0, 0.1, float("nan")], [float("inf"), 1.0, 0.1], [1e300, 1e-10, 1e-300],
+])
+def test_comm_limit_residual_keeps_the_flag_pass_set(res):
+    assert _comm_limit_passes(res) == _old_comm_limit_passes(res)
+
+
+_RESIDUAL = st.floats(min_value=0.0, max_value=1e3, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RESIDUAL, min_size=3, max_size=3),
+       st.sampled_from(["free", "equal", "up", "down"]))
+def test_comm_limit_residual_pass_set_property(res, tie):
+    if tie != "free":
+        res[1] = {"equal": res[0], "up": _UP(res[0]), "down": _DOWN(res[0])}[tie]
+    assert _comm_limit_passes(res) == _old_comm_limit_passes(res)
+    measured = checks._shrink_residual(res)
+    if res[0] > 0 and res[1] > 0:
+        assert measured >= res[1] / res[0]
+
+
+def _fake_convergence(gaps_by_level):
+    """A ``convergence_study`` stand-in returning the given gaps."""
+    from fuzzylab.spectra import ConvergenceRecord
+
+    def study(schedule, j):
+        return [ConvergenceRecord(lam, n, j, level, 0.0, 0.0,
+                                  gaps_by_level[j, level][s])
+                for s, (lam, n) in enumerate(schedule)
+                for level in range(3)]
+    return study
+
+
+def _old_convergence_passes(gaps_by_level):
+    floors = [1e-8 / lam**2 for lam in (0.4, 0.2, 0.1)]
+    return all(g[s + 1] <= max(g[s], floors[s + 1])
+               for g in gaps_by_level.values() for s in range(len(g) - 1))
+
+
+def _convergence_passes(monkeypatch, gaps_by_level):
+    spec = next(c for c in checks.CHECKS if c.check_id == "spectra.convergence")
+    monkeypatch.setattr(checks.spc, "convergence_study",
+                        _fake_convergence(gaps_by_level))
+    residual, _detail = checks._run_convergence(None, CheckConfig())
+    return residual, residual <= spec.tol
+
+
+@pytest.mark.parametrize("gaps", [
+    [3e-4, 3.8e-5, 4.5e-6], [1e-3, 1e-3, 1e-3], [1e-3, _UP(1e-3), 1e-4],
+    [1e-12, 1e-8 / 0.2**2, 1e-12], [1e-12, _UP(1e-8 / 0.2**2), 1e-12],
+    [0.0, 0.0, 0.0], [1e-4, 1e-5, float("nan")], [float("nan"), 1e-5, 1e-6],
+    [1e-4, float("inf"), 1e-6],
+])
+def test_convergence_residual_keeps_the_flag_pass_set(monkeypatch, gaps):
+    by_level = {(j, level): [1e-4, 1e-5, 1e-6] for j in (0, 1)
+                for level in range(3)}
+    by_level[1, 2] = gaps
+    residual, passed = _convergence_passes(monkeypatch, by_level)
+    assert passed == _old_convergence_passes(by_level)
+    if passed:
+        assert residual >= max(gaps[1] / max(gaps[0], 1e-8 / 0.2**2), 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=18,
+                max_size=18),
+       st.sampled_from(["free", "equal", "up", "floor", "above floor"]))
+def test_convergence_residual_pass_set_property(gaps, tie):
+    if tie != "free":
+        floor = 1e-8 / 0.2**2
+        gaps[1] = {"equal": gaps[0], "up": _UP(gaps[0]), "floor": floor,
+                   "above floor": _UP(floor)}[tie]
+        gaps[0] = min(gaps[0], floor) if "floor" in tie else gaps[0]
+    by_level = {(j, level): gaps[3 * (3 * j + level):3 * (3 * j + level) + 3]
+                for j in (0, 1) for level in range(3)}
+    with pytest.MonkeyPatch.context() as mp:
+        _residual, passed = _convergence_passes(mp, by_level)
+    assert passed == _old_convergence_passes(by_level)
+
+
+def test_measured_limit_records_pass_and_report_their_quantity():
+    config = CheckConfig(suites=["velocity", "spectra"])
+    records = {r.check_id: r for r in run_suite(config).records}
+    comm = records["velocity.comm_limit"]
+    conv = records["spectra.convergence"]
+    assert comm.passed and conv.passed
+    # residuals fall about 4-fold per halving of lam, 16-fold overall
+    assert 0.4 < comm.residual < 0.6
+    assert 0.0 < conv.residual < 1.0
+    assert "shrink" in comm.detail

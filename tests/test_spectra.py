@@ -449,3 +449,113 @@ def test_solve_sector_metadata_is_the_grid(space):
     res = spc.solve_sector(space, 1, None, boundary="dirichlet")
     assert list(res.metadata) == ["grid"]
     assert res.metadata["grid"] == list(space.lam * np.arange(2.0, 9.0))
+
+
+class _CountingOp:
+    """A superoperator that counts its applications."""
+
+    def __init__(self, op):
+        self.op, self.bandwidth, self.calls = op, op.bandwidth, 0
+
+    def __call__(self, psi):
+        self.calls += 1
+        return self.op(psi)
+
+
+def _ops_by_bandwidth(space):
+    coulomb = RadialFunction.from_callable(lambda r: -1.0 / r, space.lam,
+                                           space.n_max, name="coulomb")
+    return {0: space.angular_momentum(3), 1: space.hamiltonian(coulomb),
+            2: _sum_of_squares(space)}
+
+
+@pytest.mark.parametrize("n_max, lam", [(4, 0.5), (12, 0.3)])
+def test_reduction_applies_op_once_per_shell_stride_group(n_max, lam):
+    space = Space(n_max, lam)
+    for w, op in _ops_by_bandwidth(space).items():
+        assert op.bandwidth == w
+        for j in range(4):
+            for boundary in ("hard", "dirichlet"):
+                sector = spc.build_sector(space, j, j, boundary=boundary)
+                counted = _CountingOp(op)
+                spc.reduce_superop(space, sector, counted)
+                assert counted.calls == min(2 * w + 1, sector.dim), \
+                    (w, j, boundary, sector.dim)
+
+
+def test_grouped_reduction_on_sectors_shorter_than_the_stride():
+    space = Space(4, 0.5)
+    for op in _ops_by_bandwidth(space).values():
+        for j, boundary in ((2, "dirichlet"), (3, "dirichlet"), (3, "hard"),
+                            (2, "hard")):
+            sector = spc.build_sector(space, j, j, boundary=boundary)
+            scaled = spc.AngularSector(
+                j=j, m=j, lam=space.lam, boundary=boundary,
+                states=[s * (a + 1.5) for a, s in enumerate(sector.states)],
+                shells=sector.shells)
+            for sec in (sector, scaled):
+                got = spc.reduce_superop(space, sec, op)
+                want = _reference_reduce(space, sec, op)
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-13, (op.name, j, boundary, sec.dim, err)
+
+
+@pytest.mark.parametrize("n_max, lam", [(8, 0.5), (19, 0.4)])
+def test_per_shell_gram_equals_per_state_inner_products(n_max, lam):
+    import functools
+    import operator
+    space = Space(n_max, lam)
+    for j in (0, 1, 2):
+        for boundary in ("hard", "dirichlet"):
+            sector = spc.build_sector(space, j, j, boundary=boundary)
+            states = [s * (a + 1.5) for a, s in enumerate(sector.states)]
+            total = functools.reduce(operator.add, states)
+            per_shell = space.ip.by_shell(total, total)
+            shells = sector.shells.astype(int)
+            want = np.array([space.ip(s, s) for s in states])
+            got = per_shell[shells]
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            assert not np.any(np.delete(per_shell, shells))
+
+
+def test_by_shell_sums_to_the_inner_product():
+    space = Space(8, 0.5)
+    phi = space.random_state(3, 0, 8)
+    psi = space.random_state(4, 0, 8)
+    sector_state = spc.build_sector(space, 1, 0).states[2]
+    for a, b in ((phi, psi), (phi, sector_state), (sector_state, psi)):
+        parts = space.ip.by_shell(a, b)
+        assert parts.shape == (space.n_max + 1,)
+        want = space.ip(a, b)
+        assert abs(parts.sum() - want) <= 1e-13 * max(abs(want), 1e-300)
+
+
+@pytest.mark.parametrize("n_max, lam", [(19, 0.4), (8, 0.3)])
+def test_grouped_reduction_bit_identical_to_per_state_loop(n_max, lam):
+    """One walk per stride group reads the same products as one walk and
+    one inner product per state did: the reduced matrices agree bit for
+    bit."""
+    space = Space(n_max, lam)
+    for op in _ops_by_bandwidth(space).values():
+        for boundary in ("hard", "dirichlet"):
+            sector = spc.build_sector(space, 1, 1, boundary=boundary)
+            d, w = sector.dim, op.bandwidth
+            g = np.array([space.ip(s, s).real for s in sector.states])
+            ginv = 1.0 / np.sqrt(g)
+            want = np.zeros((d, d), dtype=complex)
+            for b, sb in enumerate(sector.states):
+                u = op(sb)
+                for a in range(max(b - w, 0), min(b + w + 1, d)):
+                    want[a, b] = ginv[a] * space.ip(sector.states[a], u) \
+                        * ginv[b]
+            got = spc.reduce_superop(space, sector, op)
+            assert np.array_equal(got, want), (op.name, boundary)
+
+
+def test_reduction_rejects_unordered_shells(space):
+    sector = spc.build_sector(space, 1, 1)
+    shuffled = spc.AngularSector(j=1, m=1, lam=space.lam, boundary="hard",
+                                 states=sector.states[::-1],
+                                 shells=sector.shells[::-1])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        spc.reduce_superop(space, shuffled, space.free_hamiltonian())
