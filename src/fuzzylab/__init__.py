@@ -26,7 +26,7 @@ from .fock import (FockBasis, FockMatrix, NCState, WeightedInnerProduct,
                    interior_projection, ladder_matrix, radial_matrix,
                    random_state, state_from_text, state_to_text)
 from .operators import RadialFunction, Space, SuperOp
-from .spectra import (AngularSector, CentralPotential, SpectrumResult,
+from .spectra import (AngularSector, SpectrumResult,
                       build_sector, commutative_oracle, convergence_study,
                       eigen_solve, full_kappa0_spectrum, reduce_hamiltonian,
                       reduce_superop, shell_state, solve_sector,
@@ -44,7 +44,7 @@ __all__ = [
     "AlgebraExpr", "aL", "aL_dag", "aR", "aR_dag", "coeff", "one",
     "normal_order", "commutator_symbolic", "expr_to_text", "expr_from_text",
     "to_superop", "IDENTITY_NAMES", "check_identity", "cross_validate",
-    "AngularSector", "CentralPotential", "SpectrumResult", "build_sector",
+    "AngularSector", "SpectrumResult", "build_sector",
     "shell_state", "reduce_hamiltonian", "reduce_superop", "eigen_solve",
     "solve_sector", "commutative_oracle", "full_kappa0_spectrum",
     "v2_consistency", "convergence_study",

@@ -21,6 +21,10 @@ therefore eliminates diagonal mode-2 pairs through these relations; the
 surviving words are linearly independent, so an identity is true iff its
 normal form is literally zero (exact arithmetic, no tolerance).
 
+Normal ordering is one memoized rewrite per bare word, ``_normal_word``,
+which returns ``(factors, word)`` pairs; a term folds its coefficient
+through the factors in rewrite order.
+
 On charge-zero states the left and right radii agree block-wise;
 :meth:`AlgebraExpr.kappa_reduce` folds ``r_R`` into ``r`` accordingly.
 """
@@ -28,6 +32,7 @@ On charge-zero states the left and right radii agree block-wise;
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -61,30 +66,54 @@ def _gen_key(g: Gen):
     return (_FAM_ORD[fam], 0 if dag else 1, mode)
 
 
-def _same_family_swap(g1: Gen, g2: Gen):
-    """Rewrite g1 g2 -> g2 g1 (+ delta term sign) when both need reordering.
-
-    Returns the delta sign, 0 for none.  Only an undaggered generator moving
-    right past a daggered one of the same family produces a delta: +1 for the
-    left family, -1 for the right family (same modes only).
-    """
-    (fam1, dag1, mode1), (fam2, dag2, mode2) = g1, g2
-    if fam1 == fam2 and mode1 == mode2 and not dag1 and dag2:
-        return 1 if fam1 == "a" else -1
-    return 0
+@functools.lru_cache(maxsize=None)
+def _word_shifts(word: Tuple[Gen, ...]) -> Tuple[int, int]:
+    """Radius shifts (da, db) of a coefficient moved left through ``word``;
+    the word's charge shift (creations minus annihilations) is db - da."""
+    da = sum(-1 if dag else 1 for fam, dag, _mode in word if fam == "a")
+    db = sum(1 if dag else -1 for fam, dag, _mode in word if fam == "b")
+    return da, db
 
 
 def _shift_coeff(c: sympy.Expr, word: Tuple[Gen, ...]) -> sympy.Expr:
     """Coefficient c moved from the right of ``word`` to its left."""
-    da = db = 0
-    for fam, dag, _mode in word:
-        if fam == "a":
-            da += -1 if dag else 1
-        else:
-            db += 1 if dag else -1
-    if da == 0 and db == 0:
-        return c
-    return _shifted(c, da, db)
+    da, db = _word_shifts(word)
+    return _shifted(c, da, db) if da or db else c
+
+
+#: number relation aX+[2] aX[2] = number(s) - aX+[1] aX[1], with the number
+#: shifted past the s daggered same-family generators left of the pair
+_NUMBER = {"a": lambda s: (R - s * LAM) / LAM - 1,
+           "b": lambda s: (RR + s * LAM) / LAM + 1}
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_word(w: Tuple[Gen, ...]):
+    """``(factors, word)`` pairs with c * w = sum of (c * f1 * f2 ...) * word.
+
+    Swaps the first out-of-order adjacent pair; an undaggered generator moving
+    right past a daggered one of its family and mode leaves a delta term (+1
+    left family, -1 right).  A sorted word with a diagonal mode-2 pair is
+    rewritten by the number relation."""
+    for i in range(len(w) - 1):
+        g1, g2 = w[i], w[i + 1]
+        if _gen_key(g1) > _gen_key(g2):
+            out = _normal_word(w[:i] + (g2, g1) + w[i + 2:])
+            if g1[0] == g2[0] and g1[2] == g2[2] and not g1[1] and g2[1]:
+                delta = 1 if g1[0] == "a" else -1
+                out += tuple(((delta,) + f, v)
+                             for f, v in _normal_word(w[:i] + w[i + 2:]))
+            return out
+    for fam in "ab":
+        up, down = (fam, True, 2), (fam, False, 2)
+        if up in w and down in w:
+            i, j = w.index(up), w.index(down)
+            rest = w[:i] + w[i + 1:j] + w[j + 1:]
+            s = sum(1 for g in w if g[0] == fam and g[1]) - 1
+            ones = tuple(sorted(rest + ((fam, True, 1), (fam, False, 1)), key=_gen_key))
+            return tuple(((_NUMBER[fam](s),) + f, v) for f, v in _normal_word(rest)) \
+                + tuple(((-1,) + f, v) for f, v in _normal_word(ones))
+    return (((), w),)
 
 
 # Coefficient rewrites are pure functions of the sympy expression, and the
@@ -172,29 +201,16 @@ class AlgebraExpr:
         """Canonical form: per family daggered-left, modes ascending, left
         family before right family, diagonal mode-2 pairs eliminated, like
         terms merged with canonical rational coefficients; a term survives
-        iff its canonical coefficient is not the zero expression."""
+        iff its canonical coefficient is not the zero expression.  Each word
+        is rewritten once (memoized ``_normal_word``) and each term's
+        coefficient is multiplied by its factors in rewrite order."""
         if self.is_normal:
             return self
-        out: Dict[Tuple[Gen, ...], sympy.Expr] = {}
-        work: List[Tuple[sympy.Expr, Tuple[Gen, ...]]] = \
-            [(c, w) for w, c in self.terms.items()]
-        while work:
-            c, w = work.pop()
-            pos = _first_disorder(w)
-            if pos is not None:
-                g1, g2 = w[pos], w[pos + 1]
-                swapped = w[:pos] + (g2, g1) + w[pos + 2:]
-                work.append((c, swapped))
-                delta = _same_family_swap(g1, g2)
-                if delta:
-                    work.append((delta * c, w[:pos] + w[pos + 2:]))
-                continue
-            reduced = _eliminate_diag_mode2(c, w)
-            if reduced is not None:
-                work.extend(reduced)
-                continue
-            out[w] = out[w] + c if w in out else c
-        clean = {w: _canonical_coeff(c) for w, c in out.items()}
+        out = AlgebraExpr()
+        for w, c in self.terms.items():
+            for factors, v in _normal_word(w):
+                out._accumulate(v, functools.reduce(operator.mul, factors, c))
+        clean = {w: _canonical_coeff(c) for w, c in out.terms.items()}
         return AlgebraExpr(terms={w: c for w, c in clean.items() if c != 0},
                            is_normal=True)
 
@@ -202,13 +218,7 @@ class AlgebraExpr:
 
     def kappa_shifts(self) -> set:
         """Set of charge shifts (creation minus annihilation counts) over terms."""
-        shifts = set()
-        for w in self.terms:
-            s = 0
-            for fam, dag, _mode in w:
-                s += 1 if dag else -1
-            shifts.add(s)
-        return shifts
+        return {db - da for da, db in map(_word_shifts, self.terms)}
 
     def kappa_reduce(self, allow_mixed: bool = False) -> "AlgebraExpr":
         """Identify the right radius with the left one, as valid on charge-zero
@@ -222,8 +232,8 @@ class AlgebraExpr:
                              "pass allow_mixed=True to reduce sector-wise")
         out = AlgebraExpr()
         for w, c in nf.terms.items():
-            s = sum(1 if dag else -1 for _fam, dag, _mode in w)
-            out._accumulate(w, c.subs(RR, R - LAM * s))
+            da, db = _word_shifts(w)
+            out._accumulate(w, c.subs(RR, R - LAM * (db - da)))
         return out.normal()
 
     # -- inspection -----------------------------------------------------------
@@ -236,50 +246,6 @@ class AlgebraExpr:
 
     def __str__(self) -> str:
         return expr_to_text(self)
-
-
-def _first_disorder(w: Tuple[Gen, ...]) -> Optional[int]:
-    for i in range(len(w) - 1):
-        if _gen_key(w[i]) > _gen_key(w[i + 1]):
-            return i
-    return None
-
-
-def _eliminate_diag_mode2(c, w: Tuple[Gen, ...]):
-    """Apply aL+[2]aL[2] = (r/lam - 1) - aL+[1]aL[1] (and the right-family
-    analogue with r_R/lam + 1) to a sorted word containing a diagonal
-    mode-2 pair.  Returns replacement terms, or None if already reduced."""
-    counts = {}
-    for g in w:
-        counts[g] = counts.get(g, 0) + 1
-    k1 = counts.get(("a", True, 1), 0)
-    k2 = counts.get(("a", True, 2), 0)
-    l1 = counts.get(("a", False, 1), 0)
-    l2 = counts.get(("a", False, 2), 0)
-    m1 = counts.get(("b", True, 1), 0)
-    m2 = counts.get(("b", True, 2), 0)
-    p1 = counts.get(("b", False, 1), 0)
-    p2 = counts.get(("b", False, 2), 0)
-
-    def build(ka, kb, la, lb, ma, mb, pa, pb) -> Tuple[Gen, ...]:
-        return (("a", True, 1),) * ka + (("a", True, 2),) * kb \
-            + (("a", False, 1),) * la + (("a", False, 2),) * lb \
-            + (("b", True, 1),) * ma + (("b", True, 2),) * mb \
-            + (("b", False, 1),) * pa + (("b", False, 2),) * pb
-
-    if k2 >= 1 and l2 >= 1:
-        shift = k1 + k2 - 1  # daggered left-family generators left of the pair
-        num = (R - shift * LAM) / LAM - 1
-        t1 = (c * num, build(k1, k2 - 1, l1, l2 - 1, m1, m2, p1, p2))
-        t2 = (-c, build(k1 + 1, k2 - 1, l1 + 1, l2 - 1, m1, m2, p1, p2))
-        return [t1, t2]
-    if m2 >= 1 and p2 >= 1:
-        shift = m1 + m2 - 1  # daggered right-family generators left of the pair
-        num = (RR + shift * LAM) / LAM + 1
-        t1 = (c * num, build(k1, k2, l1, l2, m1, m2 - 1, p1, p2 - 1))
-        t2 = (-c, build(k1, k2, l1, l2, m1 + 1, m2 - 1, p1 + 1, p2 - 1))
-        return [t1, t2]
-    return None
 
 
 # -- builders ----------------------------------------------------------------
@@ -422,8 +388,9 @@ def to_superop(e: AlgebraExpr, space, potential: Optional[Callable[[float], floa
 
     lam = space.lam
     rvals = space.r_diag
+    nf = e.normal()
     op = None
-    for w, c in e.normal().sorted_terms():
+    for w, c in nf.sorted_terms():
         cnum = c.subs(LAM, sympy.Float(lam, 17))
         if potential is not None:
             cnum = cnum.replace(UFUN, lambda arg: sympy.sympify(potential(arg)))
@@ -445,5 +412,5 @@ def to_superop(e: AlgebraExpr, space, potential: Optional[Callable[[float], floa
     if op is None:
         op = 0.0 * SuperOp.identity(space.basis)
     op.name = "symbolic"
-    op.bandwidth = max((_word_bandwidth(w) for w in e.normal().terms), default=0)
+    op.bandwidth = max((_word_bandwidth(w) for w in nf.terms), default=0)
     return op

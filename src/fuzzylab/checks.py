@@ -123,7 +123,9 @@ def _validate_config(config: CheckConfig) -> None:
         raise ValueError(f"states must be >= 1; got {config.n_states}")
     if config.seed < 0:
         raise ValueError(f"seed must be >= 0; got {config.seed}")
-    _margin(config, 0)  # raises on a bad margin policy
+    if _margin(config, 0) > min(config.n_maxes):  # raises on a bad policy
+        raise ValueError(f"margin {config.margin} exceeds the smallest n_max "
+                         f"{min(config.n_maxes)}")
     unknown = set(config.suites) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites {sorted(unknown)}; have {SUITES}")

@@ -41,14 +41,11 @@ from .fock import NCState
 from .operators import RadialFunction, Space, SuperOp
 
 __all__ = [
-    "AngularSector", "CentralPotential", "SpectrumResult", "build_sector",
-    "shell_state", "reduce_hamiltonian", "reduce_superop", "radial_hamiltonian",
+    "AngularSector", "SpectrumResult", "build_sector", "shell_state",
+    "reduce_hamiltonian", "reduce_superop", "radial_hamiltonian",
     "eigen_solve", "commutative_oracle", "full_kappa0_spectrum",
     "v2_consistency", "convergence_study", "ConvergenceRecord",
 ]
-
-#: central potentials are radial functions sampled on the shell grid
-CentralPotential = RadialFunction
 
 GRAM_CONDITION_LIMIT = 1e8
 
@@ -143,7 +140,7 @@ def build_sector(space: Space, j: int, m: int, boundary: str = "hard") -> Angula
 
 
 def radial_hamiltonian(space: Space, j: int,
-                       potential: Optional[CentralPotential] = None,
+                       potential: Optional[RadialFunction] = None,
                        boundary: str = "hard", m: Optional[int] = None) -> tuple:
     """Closed form of ``reduce_hamiltonian`` and the sector grid lam (N + 1).
 
@@ -200,7 +197,7 @@ def reduce_superop(space: Space, sector: AngularSector, op: SuperOp) -> np.ndarr
 
 
 def reduce_hamiltonian(space: Space, sector: AngularSector,
-                       potential: Optional[CentralPotential] = None,
+                       potential: Optional[RadialFunction] = None,
                        hermiticity_tol: float = 1e-12) -> np.ndarray:
     """Reduced H = H0 + U(r); hermitian to machine precision by construction."""
     mat = reduce_superop(space, sector, space.hamiltonian(potential))
@@ -242,7 +239,7 @@ def eigen_solve(matrix: np.ndarray, residual_tol: float = 1e-8) -> tuple:
     return evals, evecs
 
 
-def solve_sector(space: Space, j: int, potential: Optional[CentralPotential] = None,
+def solve_sector(space: Space, j: int, potential: Optional[RadialFunction] = None,
                  m: Optional[int] = None, boundary: str = "hard") -> SpectrumResult:
     """Diagonalize the closed-form radial Hamiltonian of the (j, m) sector."""
     mat, grid = radial_hamiltonian(space, j, potential, boundary, m)
@@ -271,7 +268,7 @@ def commutative_oracle(grid: np.ndarray, h: float, j: int,
 
 
 def full_kappa0_spectrum(space: Space,
-                         potential: Optional[CentralPotential] = None) -> np.ndarray:
+                         potential: Optional[RadialFunction] = None) -> np.ndarray:
     """Brute-force spectrum of H on the whole charge-zero subspace.
 
     Diagonalizes the compiled matrix of the superoperator on the packed

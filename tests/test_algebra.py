@@ -257,3 +257,84 @@ def test_to_superop_pole_rule_on_sparse_states():
     outer = space.interior(psi, 0).matrix.copy()
     outer[0, 0] = 0.0
     assert np.all(np.isfinite(bad(space.state(outer)).matrix))
+
+
+def _worklist_normal(e):
+    """Reference normal ordering: an explicit worklist of terms.  The first
+    out-of-order adjacent pair is swapped (pushing the delta term), and a
+    sorted word is reduced by counting generators and rebuilding it with one
+    diagonal mode-2 pair traded for the number relation."""
+    def disorder(w):
+        for i in range(len(w) - 1):
+            if algebra._gen_key(w[i]) > algebra._gen_key(w[i + 1]):
+                return i
+        return None
+
+    def delta(g1, g2):
+        (fam1, dag1, mode1), (fam2, dag2, mode2) = g1, g2
+        if fam1 == fam2 and mode1 == mode2 and not dag1 and dag2:
+            return 1 if fam1 == "a" else -1
+        return 0
+
+    order = [("a", True, 1), ("a", True, 2), ("a", False, 1), ("a", False, 2),
+             ("b", True, 1), ("b", True, 2), ("b", False, 1), ("b", False, 2)]
+
+    def eliminate(c, w):
+        k1, k2, l1, l2, m1, m2, p1, p2 = (w.count(g) for g in order)
+
+        def build(*counts):
+            return sum(((g,) * n for g, n in zip(order, counts)), ())
+
+        if k2 >= 1 and l2 >= 1:
+            num = (R - (k1 + k2 - 1) * LAM) / LAM - 1
+            return [(c * num, build(k1, k2 - 1, l1, l2 - 1, m1, m2, p1, p2)),
+                    (-c, build(k1 + 1, k2 - 1, l1 + 1, l2 - 1, m1, m2, p1, p2))]
+        if m2 >= 1 and p2 >= 1:
+            num = (RR + (m1 + m2 - 1) * LAM) / LAM + 1
+            return [(c * num, build(k1, k2, l1, l2, m1, m2 - 1, p1, p2 - 1)),
+                    (-c, build(k1, k2, l1, l2, m1 + 1, m2 - 1, p1 + 1, p2 - 1))]
+        return None
+
+    out = {}
+    work = [(c, w) for w, c in e.terms.items()]
+    while work:
+        c, w = work.pop()
+        pos = disorder(w)
+        if pos is not None:
+            g1, g2 = w[pos], w[pos + 1]
+            work.append((c, w[:pos] + (g2, g1) + w[pos + 2:]))
+            d = delta(g1, g2)
+            if d:
+                work.append((d * c, w[:pos] + w[pos + 2:]))
+            continue
+        reduced = eliminate(c, w)
+        if reduced is not None:
+            work.extend(reduced)
+            continue
+        out[w] = out[w] + c if w in out else c
+    clean = {w: algebra._canonical_coeff(c) for w, c in out.items()}
+    return {w: c for w, c in clean.items() if c != 0}
+
+
+_GENERATORS = [(fam, dag, mode) for fam in "ab" for dag in (True, False)
+               for mode in (1, 2)]
+
+
+def test_memoized_rewrite_matches_worklist_on_short_words():
+    words = [()] + [(g,) for g in _GENERATORS]
+    words += [w + (g,) for w in words[1:] for g in _GENERATORS]
+    words += [w + (g,) for w in words[9:] for g in _GENERATORS]
+    assert len(words) == 1 + 8 + 64 + 512
+    for w in words:
+        e = AlgebraExpr.from_term(1, w)
+        assert e.normal().terms == _worklist_normal(e), w
+
+
+@pytest.mark.parametrize("i,j", [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)
+                                 if i != j])
+def test_memoized_rewrite_matches_worklist_on_velocity_products(i, j):
+    product = idn.velocity_op(i) * idn.velocity_op(j)
+    for w, c in product.terms.items():
+        term = AlgebraExpr(terms={w: c})
+        assert term.normal().terms == _worklist_normal(term), w
+    assert product.normal().terms == _worklist_normal(product)

@@ -394,3 +394,42 @@ def test_cli_converge_notes_points_with_fewer_levels(capsys):
     assert lines[:4] == want.out.splitlines()[:4]
     assert len([ln for ln in lines if ln.startswith("0.4,")]) == 3
     assert len([ln for ln in lines if ln.startswith("0.2,")]) == 9
+
+
+def test_cli_check_fixed_margin_reaches_commutator_records(capsys):
+    assert main(["check", "--suite", "velocity", "--margin", "fixed:3",
+                 "--nmax", "8"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    commutators = [r for r in records if r["statement"].startswith("[")]
+    assert len(commutators) == 6
+    for rec in commutators:
+        assert rec["detail"].startswith("margin 3,"), rec["check_id"]
+
+
+def test_cli_converge_notes_bound_levels_only_when_present(capsys):
+    schedule = ["--schedule", "0.4:19,0.2:39"]
+    assert main(["converge", "--potential", "coulomb"] + schedule) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "# bound levels present: 4 records with E < 0" in lines
+    scaling = [ln for ln in lines if ln.startswith("# deepest-level scaling: ")]
+    assert len(scaling) == 1
+    assert "lam=0.2: E_min=" in scaling[0] and "lam=0.4: E_min=" in scaling[0]
+    assert main(["converge", "--potential", "free"] + schedule) == 0
+    assert "#" not in capsys.readouterr().out
+
+
+def test_cli_spectrum_text_lists_the_json_levels(capsys):
+    args = ["spectrum", "--lambda", "0.5", "--nmax", "8", "--j", "1"]
+    assert main(args + ["--format", "json"]) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert main(args + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# potential=free lam=0.5 n_max=8 j=1")
+    assert lines[2:] == [f"level {k}: {e!r}" for k, e in enumerate(levels)]
+
+
+def test_cli_spectrum_rejects_nmax_count_mismatch(capsys):
+    assert main(["spectrum", "--lambda", "0.5,0.4", "--nmax", "8,9,10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --nmax needs one value")
+    assert captured.out == ""

@@ -127,3 +127,23 @@ def test_empty_lambda_list_is_rejected_by_the_config_gate(tmp_path,
     captured = capsys.readouterr()
     assert captured.err == "error: no lambda given\n" and captured.out == ""
     assert run_suite(CheckConfig(suites=())).records == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--nmax", "12", "--margin", "fixed:13"],
+    ["--lambda", "0.5,0.1", "--nmax", "6,12", "--margin", "fixed:7"],
+], ids=["one-nmax", "smallest-of-two"])
+def test_check_rejects_fixed_margin_above_the_cutoff(argv, monkeypatch,
+                                                     capsys):
+    _no_check_may_run(monkeypatch)
+    assert main(["check", "--suite", "kinematics"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "n_max" in captured.err
+    assert captured.out == ""
+
+
+def test_check_runs_fixed_margin_equal_to_the_cutoff(capsys):
+    assert main(["check", "--suite", "kinematics", "--nmax", "12",
+                 "--margin", "fixed:12", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert "margin 12," in out and "ERROR" not in out
