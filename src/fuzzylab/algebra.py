@@ -292,6 +292,7 @@ def commutator_symbolic(A: AlgebraExpr, B: AlgebraExpr) -> AlgebraExpr:
 _GEN_TEXT = {("a", True): "aL+", ("a", False): "aL",
              ("b", True): "aR+", ("b", False): "aR"}
 _GEN_RE = re.compile(r"^(aL|aR)(\+?)\[([12])\]$")
+_TERM_RE = re.compile(r"\((.*?)\) \* (\S+)")
 
 
 def expr_to_text(e: AlgebraExpr) -> str:
@@ -307,50 +308,27 @@ def expr_to_text(e: AlgebraExpr) -> str:
     return " + ".join(parts) if parts else "(0) * 1"
 
 
-def _split_top_level(text: str, sep: str) -> List[str]:
-    out, depth, cur = [], 0, []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and text.startswith(sep, i):
-            out.append("".join(cur))
-            cur = []
-            i += len(sep)
-            continue
-        cur.append(ch)
-        i += 1
-    out.append("".join(cur))
-    return out
-
-
 def expr_from_text(text: str) -> AlgebraExpr:
-    """Parse the grammar written by :func:`expr_to_text`."""
+    """Parse the grammar written by :func:`expr_to_text`.
+
+    ``sstr`` never prints `` * `` inside a coefficient, so each term is the
+    shortest ``(coeff) * word``; the terms must rebuild the text exactly.
+    """
     locs = {"r": R, "r_R": RR, "lam": LAM, "U": UFUN, "I": sI}
+    text = text.strip()
+    terms = _TERM_RE.findall(text)
+    if " + ".join(f"({c}) * {w}" for c, w in terms) != text:
+        raise ValueError(f"malformed expression text: {text!r}")
     out = AlgebraExpr()
-    for raw in _split_top_level(text.strip(), " + "):
-        raw = raw.strip()
-        if not raw:
-            continue
-        pieces = _split_top_level(raw, " * ")
-        if len(pieces) != 2:
-            raise ValueError(f"malformed term: {raw!r}")
-        cs, ws = pieces[0].strip(), pieces[1].strip()
-        if not (cs.startswith("(") and cs.endswith(")")):
-            raise ValueError(f"coefficient must be parenthesized: {cs!r}")
-        c = sympy.sympify(cs[1:-1], locals=locs)
+    for cs, ws in terms:
         word: List[Gen] = []
-        if ws != "1":
-            for tok in ws.split("*"):
-                m = _GEN_RE.match(tok.strip())
-                if not m:
-                    raise ValueError(f"bad generator token: {tok!r}")
-                fam = "a" if m.group(1) == "aL" else "b"
-                word.append((fam, m.group(2) == "+", int(m.group(3))))
-        out._accumulate(tuple(word), c)
+        for tok in ws.split("*") if ws != "1" else ():
+            m = _GEN_RE.match(tok)
+            if not m:
+                raise ValueError(f"bad generator token: {tok!r}")
+            word.append(("a" if m.group(1) == "aL" else "b", m.group(2) == "+",
+                         int(m.group(3))))
+        out._accumulate(tuple(word), sympy.sympify(cs, locals=locs))
     return out
 
 

@@ -22,14 +22,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import EPS3, NCState
+from .fock import EPS3, NCState, validate_lambda
 from .operators import RadialFunction, Space, SuperOp
 from .report import FORMATS, CheckRecord, VerificationReport
 from . import spectra as spc
 
 __all__ = ["CheckConfig", "CheckSkipped", "CHECK_IDS", "OPTIONS", "SUITES",
-           "run_suite", "parse_config_text", "POTENTIALS", "potential_fn",
-           "validate_lambda"]
+           "run_suite", "parse_config_text", "POTENTIALS", "potential_fn"]
 
 _TINY = 1e-300
 #: the largest double below 1: ``x <= _BELOW_ONE`` is ``x < 1``
@@ -47,12 +46,6 @@ POTENTIALS: Dict[str, Callable[[float], float]] = {
     "r2": lambda r: r * r,
     "exp": lambda r: float(np.exp(-r)),
 }
-
-
-def validate_lambda(lam: float) -> None:
-    """Raise ValueError unless lambda is finite and > 0 (all commands)."""
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lambda must be finite and > 0; got {lam!r}")
 
 
 def potential_fn(name: str, q: float = 1.0) -> Optional[Callable[[float], float]]:
@@ -286,10 +279,7 @@ def _run_coordinate_algebra(space: Space, config: CheckConfig):
 
 def _run_x_square(space: Space, config: CheckConfig):
     lam = space.lam
-    acc = None
-    for xi in space.x:
-        t = xi @ xi
-        acc = t if acc is None else acc + t
+    acc = functools.reduce(operator.add, (xi @ xi for xi in space.x))
     rsq = space.r @ space.r
     eye = sp.identity(space.basis.dim, dtype=complex, format="csr")
     return abs(acc - rsq + lam**2 * eye).max(), ""
@@ -525,8 +515,7 @@ def _run_acceleration(name: str):
     ``name``."""
     @_state_check(2, "margin {margin}, potential " + name, floor=2)
     def run(s: Space):
-        pot = RadialFunction.from_callable(POTENTIALS[name], s.lam, s.n_max,
-                                           name=name)
+        pot = s.sample(POTENTIALS[name], name)
         return [_pair(s, s.acceleration(i, pot), s.acceleration_decomposed(i, pot))
                 for i in (1, 2, 3)]
     return run
@@ -534,15 +523,13 @@ def _run_acceleration(name: str):
 
 @_state_check(1, "constant potential gives zero acceleration (exactly)")
 def _run_acc_constant(s: Space):
-    pot = RadialFunction.from_callable(lambda r: 3.7, s.lam, s.n_max,
-                                       name="const")
+    pot = s.sample(lambda r: 3.7, "const")
     return [_vanishes(s, s.acceleration(i, pot), 1.0 / s.lam) for i in (1, 2, 3)]
 
 
 @_state_check(2, "-i[V_i, H0 + U] = -i[V_i, U]", floor=2)
 def _run_acc_full_h(s: Space):
-    pot = RadialFunction.from_callable(POTENTIALS["coulomb"], s.lam,
-                                       s.n_max, name="coulomb")
+    pot = s.sample(POTENTIALS["coulomb"], "coulomb")
     h, u = s.hamiltonian(pot), s.radial_multiplication(pot)
     return [_pair(s, -1.0j * s.velocity(i).commutator(h),
                   -1.0j * s.velocity(i).commutator(u)) for i in (1, 2, 3)]
@@ -632,11 +619,8 @@ def _run_v2_consistency(space: Space, config: CheckConfig):
 
 
 def _config_potential(space: Space, config: CheckConfig) -> Optional[RadialFunction]:
-    fn = potential_fn(config.potential, config.potential_q)
-    if fn is None:
-        return None
-    return RadialFunction.from_callable(fn, space.lam, space.n_max,
-                                        name=config.potential)
+    return space.sample(potential_fn(config.potential, config.potential_q),
+                        config.potential)
 
 
 def _run_m_independence(space: Space, config: CheckConfig):

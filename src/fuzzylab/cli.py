@@ -11,6 +11,10 @@ Config files use a plain-text ``key = value`` grammar (``#`` comments,
 comma-separated lists, ``tol.<check_id>`` overrides); command-line flags win
 over file values.  Exit status is zero iff every non-diagnostic check passed
 and no check (diagnostics included) raised an error or declared a skip.
+
+A rejected input (each is checked by the module that owns it: lambda by
+``fock.validate_lambda``, j and the cutoff by ``spectra.sector_shells``) and
+an output file that cannot be written give one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from typing import List, Optional
 
 from . import __version__
 from .checks import (OPTIONS, CheckConfig, parse_config_text, potential_fn,
-                     run_suite, validate_lambda)
-from .operators import RadialFunction, Space
+                     run_suite)
+from .fock import validate_lambda
+from .operators import Space
 from .report import FORMATS, emit_report
 from . import spectra as spc
 
@@ -38,22 +43,24 @@ def _parse_schedule(text: str) -> List[tuple]:
         raise ValueError(msg) from None
 
 
-def _check_points(points, j: float, boundary: str = "dirichlet") -> int:
-    """Reject (lambda, n_max) points the j sector cannot be solved on;
-    return j as an integer."""
-    if not float(j).is_integer():
-        raise ValueError(f"j={j!r} is not an integer; half-integer j belongs "
-                         "to charged (kappa != 0) sectors, which are out of scope")
-    j = int(j)
-    if j < 0:
-        raise ValueError(f"j must be >= 0; got {j}")
-    need = j if boundary == "hard" else j + 1
+def _check_points(points, j: float, boundary: str = "dirichlet") -> List[range]:
+    """Reject (lambda, n_max) points the j sector cannot be solved on; return
+    the sector's shells at each point."""
+    shells = []
     for lam, n_max in points:
         validate_lambda(lam)
-        if n_max < need:
-            raise ValueError(f"j={j} with the {boundary} boundary needs "
-                             f"n_max >= {need}; got {n_max}")
-    return j
+        shells.append(spc.sector_shells(n_max, j, 0, boundary))
+    return shells
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to ``path`` and say so, or print it without a path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
 
 
 #: ``identities.IDENTITY_NAMES``, spelled out so that building the parser
@@ -129,19 +136,12 @@ def _cmd_check(args) -> int:
     try:
         cfg = _config_from_args(args)
         report = run_suite(cfg)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        out = emit_report(report, cfg.fmt, cfg.out)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
+    _emit(emit_report(report, cfg.fmt), cfg.out)
     if cfg.out:
-        print(f"wrote {cfg.out}")
         print(emit_report(report, "text").splitlines()[-1])
-    else:
-        sys.stdout.write(out)
     return 0 if report.passed else 1
 
 
@@ -158,11 +158,8 @@ def _cmd_prove(args) -> int:
         chunks.append(res.transcript())
         all_ok = all_ok and res.ok
         print(f"{name}: {'proved' if res.ok else 'FAILED'}")
-    text = "\n".join(chunks)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
+        _emit("\n".join(chunks), args.out)
     return 0 if all_ok else 1
 
 
@@ -181,12 +178,9 @@ def _spectrum_payload(result: spc.SpectrumResult) -> dict:
 
 def _convergence_csv(records) -> List[str]:
     """Header and one line per convergence record, without newlines."""
-    lines = ["lam,n_max,j,level,E_nc,E_oracle,gap"]
-    for rec in records:
-        d = rec.as_dict()
-        lines.append(f"{d['lam']!r},{d['n_max']},{d['j']},{d['level']},"
-                     f"{d['E_nc']!r},{d['E_oracle']!r},{d['gap']!r}")
-    return lines
+    return ["lam,n_max,j,level,E_nc,E_oracle,gap"] + [
+        f"{r.lam!r},{r.n_max},{r.j},{r.level},{r.energy_nc!r},"
+        f"{r.energy_oracle!r},{r.gap!r}" for r in records]
 
 
 def _cmd_spectrum(args) -> int:
@@ -197,19 +191,15 @@ def _cmd_spectrum(args) -> int:
             n_maxes = n_maxes * len(lams)
         if len(n_maxes) != len(lams):
             raise ValueError("--nmax needs one value, or one per --lambda entry")
-        j = _check_points(zip(lams, n_maxes), args.j, args.boundary)
+        j = _check_points(zip(lams, n_maxes), args.j, args.boundary)[0].start
         fn = potential_fn(args.potential, args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wrote = []
     for lam, n_max in zip(lams, n_maxes):
         space = Space(n_max, lam)
-        pot = None
-        if fn is not None:
-            pot = RadialFunction.from_callable(fn, lam, n_max,
-                                               name=args.potential)
-        result = spc.solve_sector(space, j, pot, boundary=args.boundary)
+        result = spc.solve_sector(space, j, space.sample(fn, args.potential),
+                                  boundary=args.boundary)
         payload = _spectrum_payload(result)
         if args.fmt == "json":
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -226,41 +216,32 @@ def _cmd_spectrum(args) -> int:
                 lines += [f"level {k}: {e!r}"
                           for k, e in enumerate(payload["levels"])]
             text = "\n".join(lines) + "\n"
-        if args.out:
-            path = f"{args.out}.lam{lam}.j{j}.{args.fmt}"
-            with open(path, "w") as fh:
-                fh.write(text)
-            wrote.append(path)
-        else:
-            sys.stdout.write(text)
+        _emit(text, args.out and f"{args.out}.lam{lam}.j{j}.{args.fmt}")
     if args.out and len(lams) > 1:
         # a schedule was given: emit the oracle-comparison table alongside
         records = spc.convergence_study(list(zip(lams, n_maxes)), j, fn,
                                         args.potential)
-        path = f"{args.out}.convergence.csv"
-        with open(path, "w") as fh:
-            fh.write("\n".join(_convergence_csv(records)) + "\n")
-        wrote.append(path)
-    for path in wrote:
-        print(f"wrote {path}")
+        _emit("\n".join(_convergence_csv(records)) + "\n",
+              f"{args.out}.convergence.csv")
     return 0
 
 
 def _cmd_converge(args) -> int:
     try:
         schedule = _parse_schedule(args.schedule)
-        j = _check_points(schedule, args.j)
+        shells = _check_points(schedule, args.j)
         if args.levels < 1:
             raise ValueError(f"--levels must be >= 1; got {args.levels}")
         fn = potential_fn(args.potential, args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = spc.convergence_study(schedule, j, fn,
+    records = spc.convergence_study(schedule, shells[0].start, fn,
                                     args.potential, levels=args.levels)
-    # the Dirichlet sector j has n_max - j radial states, hence levels
-    short = [f"{lam!r}:{n_max} (has {n_max - j})" for lam, n_max in schedule
-             if n_max - j < args.levels]
+    # a sector has one level per radial state, that is per shell
+    short = [f"{lam!r}:{n_max} (has {len(sh)})"
+             for (lam, n_max), sh in zip(schedule, shells)
+             if len(sh) < args.levels]
     if short:
         print(f"note: fewer than {args.levels} levels at " + ", ".join(short),
               file=sys.stderr)
@@ -278,13 +259,7 @@ def _cmd_converge(args) -> int:
         scaled = ", ".join(f"lam={lam!r}: E_min={e!r}, E_min/lam^2={e / lam**2!r}"
                            for lam, e in sorted(deepest.items()))
         lines.append(f"# deepest-level scaling: {scaled}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -292,7 +267,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     commands = {"check": _cmd_check, "prove": _cmd_prove,
                 "spectrum": _cmd_spectrum, "converge": _cmd_converge}
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except OSError as exc:  # an unreadable config or an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,11 +16,15 @@ A dense state is stored as one packed vector per charge kappa it holds
 state products (shell block by shell block) work on those vectors, and the
 dim x dim array is only a read-only view.  Sparse states (sector states, x_j,
 f(r)) keep their scipy matrix and its products.
+
+The lambda rule (finite, > 0) and the basis rule (what meets shares one
+n_max) live here only: :func:`validate_lambda`, :func:`check_same_basis`.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,6 +39,8 @@ __all__ = [
     "FockMatrix",
     "NCState",
     "WeightedInnerProduct",
+    "validate_lambda",
+    "check_same_basis",
     "enumerate_basis",
     "ladder_matrix",
     "coordinate_matrix",
@@ -58,6 +64,21 @@ EPS3 = np.zeros((3, 3, 3))
 for _perm, _sgn in ((((0, 1, 2)), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                     ((2, 1, 0), -1), ((0, 2, 1), -1), ((1, 0, 2), -1)):
     EPS3[_perm] = _sgn
+
+
+def validate_lambda(lam: float) -> None:
+    """Raise ValueError unless lambda is finite and > 0."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and > 0; got {lam!r}")
+
+
+def check_same_basis(*items) -> None:
+    """Raise ValueError unless the given states, operators and inner
+    products (anything with a ``basis``) all live on bases of one n_max."""
+    n_max = items[0].basis.n_max
+    for item in items[1:]:
+        if item.basis.n_max != n_max:
+            raise ValueError(f"different bases: n_max {n_max} vs {item.basis.n_max}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +203,7 @@ def coordinate_matrix(basis: FockBasis, j: int, lam: float) -> FockMatrix:
     """x_j = lam * sigma^j_{ab} a+_a a_b.  Hermitian, shell-preserving."""
     if j not in (1, 2, 3):
         raise ValueError("j must be 1, 2 or 3")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    validate_lambda(lam)
     a = [ladder_matrix(basis, m).matrix for m in (1, 2)]
     ad = [m.conj().T.tocsr() for m in a]
     return FockMatrix(basis, coordinate_from_ladders(a, ad, j, lam))
@@ -202,8 +222,7 @@ def coordinate_from_ladders(a, ad, j: int, lam: float) -> sp.csr_matrix:
 
 def radial_matrix(basis: FockBasis, lam: float) -> FockMatrix:
     """r = lam * (N + 1): diagonal, strictly positive."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    validate_lambda(lam)
     diag = lam * (basis.shells.astype(float) + 1.0)
     return FockMatrix(basis, sp.diags(diag, format="csr", dtype=complex))
 
@@ -275,7 +294,7 @@ class NCState:
         return int(max(left.max(initial=-1), right.max(initial=-1)))
 
     def _combine(self, other: "NCState", op) -> "NCState":
-        _check_same_basis(self, other)
+        check_same_basis(self, other)
         if self.parts is None and other.parts is None:
             return NCState(self.basis, op(self._sparse, other._sparse))
         a, b = self.packed().parts, other.packed().parts
@@ -302,7 +321,7 @@ class NCState:
         """The operator product of two states, packed: the charge-(ka + kb)
         block of row shell n is block (n, n - ka) of the first state times
         block (n - ka, n - ka - kb) of the second."""
-        _check_same_basis(self, other)
+        check_same_basis(self, other)
         basis, n_max = self.basis, self.basis.n_max
         out = {}
         for ka, va in sorted(self.packed().parts.items()):
@@ -321,12 +340,6 @@ class NCState:
         return max((float(np.abs(v).max()) for v in vals if v.size), default=0.0)
 
 
-def _check_same_basis(a: NCState, b: NCState) -> None:
-    if a.basis.n_max != b.basis.n_max:
-        raise ValueError("states live on different bases "
-                         f"(n_max {a.basis.n_max} vs {b.basis.n_max})")
-
-
 @dataclass
 class WeightedInnerProduct:
     """<phi, psi> = 4 pi lam^2 Tr[phi+ r psi] with r = lam (N + 1).
@@ -339,6 +352,7 @@ class WeightedInnerProduct:
     lam: float
 
     def __post_init__(self):
+        validate_lambda(self.lam)
         self.r_diag = self.lam * (self.basis.shells.astype(float) + 1.0)
         self._r_sparse = sp.diags(self.r_diag)
         self._weights = {}
@@ -350,13 +364,8 @@ class WeightedInnerProduct:
             self._weights[kappa] = self.r_diag[flat // self.basis.dim]
         return self._weights[kappa]
 
-    def _check_basis(self, phi: NCState, psi: NCState) -> None:
-        _check_same_basis(phi, psi)
-        if phi.basis.n_max != self.basis.n_max:
-            raise ValueError("state basis does not match inner product basis")
-
     def __call__(self, phi: NCState, psi: NCState) -> complex:
-        self._check_basis(phi, psi)
+        check_same_basis(self, phi, psi)
         if phi.parts is None or psi.parts is None:
             a = sp.csr_matrix(phi.matrix)
             b = sp.csr_matrix(psi.matrix)
@@ -371,7 +380,7 @@ class WeightedInnerProduct:
     def by_shell(self, phi: NCState, psi: NCState) -> np.ndarray:
         """<phi, psi> split by the shell of the row: entry N sums the rows of
         shell N, so the entries add up to ``self(phi, psi)``."""
-        self._check_basis(phi, psi)
+        check_same_basis(self, phi, psi)
         a = sp.csr_matrix(phi.matrix)
         prod = a.conj().multiply(self._r_sparse @ sp.csr_matrix(psi.matrix))
         ends = prod.indptr[[self.basis.shell_slice(n).start
@@ -409,10 +418,7 @@ def random_state(basis: FockBasis, seed: int, kappa: int, support_max: int,
         packing.block(v, nl)[:] = rng.standard_normal(shape) \
             + 1j * rng.standard_normal(shape)
     state = NCState(basis, {kappa: v})
-    nrm = w.norm(state)
-    if nrm == 0.0:
-        raise ValueError("empty block set for the requested (kappa, support_max)")
-    return state * (1.0 / nrm)
+    return state * (1.0 / w.norm(state))
 
 
 def interior_projection(psi: NCState, margin: int) -> NCState:

@@ -10,8 +10,10 @@ matrix constructions in :mod:`fuzzylab.operators`.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import sympy
 from sympy import I as sI
@@ -48,50 +50,38 @@ def pauli_entry(j: int, al: int, be: int) -> sympy.Expr:
     return PAULI_SYM[j - 1][al - 1][be - 1]
 
 
+def _abs_sum(matrices) -> sympy.Expr:
+    """Sum of the absolute values of every entry of the matrices."""
+    return sum((abs(e) for m in matrices for e in m), sympy.S.Zero)
+
+
 def anticommutator_residual() -> sympy.Expr:
-    """max |{sigma_i, sigma_j}_{ab} - 2 delta_ij delta_ab| as exact zero check."""
-    worst = sympy.S.Zero
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for al in range(1, 3):
-                for be in range(1, 3):
-                    acc = sum(pauli_entry(i, al, g) * pauli_entry(j, g, be)
-                              + pauli_entry(j, al, g) * pauli_entry(i, g, be)
-                              for g in range(1, 3))
-                    target = 2 * int(i == j) * int(al == be)
-                    worst = worst + abs(sympy.simplify(acc - target))
-    return sympy.simplify(worst)
+    """sum |{sigma_i, sigma_j} - 2 delta_ij 1| over entries, as exact zero check."""
+    sig = [sympy.Matrix(p) for p in PAULI_SYM]
+    return _abs_sum(sig[i] * sig[j] + sig[j] * sig[i] - 2 * int(i == j) * sympy.eye(2)
+                    for i in range(3) for j in range(3))
 
 
 def fierz_residual() -> sympy.Expr:
-    """eps^{ijk} sig^i_{ab} sig^j_{gd} = i (sig^k_{ad} delta_{gb} - sig^k_{gb} delta_{ad})."""
-    worst = sympy.S.Zero
-    for k in range(1, 4):
-        for al in range(1, 3):
-            for be in range(1, 3):
-                for ga in range(1, 3):
-                    for de in range(1, 3):
-                        lhs = sum(eps3(i, j, k) * pauli_entry(i, al, be)
-                                  * pauli_entry(j, ga, de)
-                                  for i in range(1, 4) for j in range(1, 4))
-                        rhs = sI * (pauli_entry(k, al, de) * int(ga == be)
-                                    - pauli_entry(k, ga, be) * int(al == de))
-                        worst = worst + abs(sympy.simplify(lhs - rhs))
-    return sympy.simplify(worst)
+    """eps^{ijk} sig^i_{ab} sig^j_{gd} = i (sig^k_{ad} d_{gb} - sig^k_{gb} d_{ad}),
+    as 4 x 4 matrices with rows (a, g) and columns (b, d):
+    sum_ij eps_ijk sig^i (x) sig^j = i (sig^k (x) 1 - 1 (x) sig^k) SWAP."""
+    sig, eye = [sympy.Matrix(p) for p in PAULI_SYM], sympy.eye(2)
+    swap = sympy.Matrix(4, 4, lambda r, c: int(r == 2 * (c % 2) + c // 2))
+    kron = sympy.kronecker_product
+    return _abs_sum(
+        sum((eps3(i + 1, j + 1, k + 1) * kron(sig[i], sig[j])
+             for i in range(3) for j in range(3) if i != j != k != i),
+            sympy.zeros(4))
+        - sI * (kron(sig[k], eye) - kron(eye, sig[k])) * swap for k in range(3))
 
 
 # -- operator library (charge-zero reduced form) -------------------------------
 
 def _sigma_sum(j: int, factory) -> AlgebraExpr:
-    out = None
-    for al in range(1, 3):
-        for be in range(1, 3):
-            s = pauli_entry(j, al, be)
-            if s == 0:
-                continue
-            term = s * factory(al, be)
-            out = term if out is None else out + term
-    return out
+    return functools.reduce(operator.add, (
+        pauli_entry(j, al, be) * factory(al, be) for al in (1, 2) for be in (1, 2)
+        if pauli_entry(j, al, be) != 0))
 
 
 def x_left(j: int) -> AlgebraExpr:
@@ -411,19 +401,18 @@ def check_identity(name: str) -> IdentityResult:
 
 
 def cross_validate(expr: AlgebraExpr, space, reference=None,
-                   potential=None, n_states: int = 4, margin: Optional[int] = None,
-                   seed: int = 20) -> float:
+                   potential=None, seed: int = 20) -> float:
     """Max deviation of the instantiated expression from a numeric reference.
 
-    Applies both maps to random interior charge-zero states and returns the
+    Applies both maps to four random charge-zero states whose support stops
+    the summed bandwidth of both maps short of the cutoff, and returns the
     largest weighted-norm deviation relative to the state norm scale.  With
     ``reference=None`` the expression itself is checked against zero.
     """
     op = to_superop(expr, space, potential=potential)
-    if margin is None:
-        margin = op.bandwidth + (reference.bandwidth if reference is not None else 0)
+    margin = op.bandwidth + (reference.bandwidth if reference is not None else 0)
     worst = 0.0
-    for s in range(n_states):
+    for s in range(4):
         psi = space.random_state(seed + s, kappa=0,
                                  support_max=space.n_max - margin)
         lhs = op(psi)

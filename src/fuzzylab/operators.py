@@ -21,11 +21,15 @@ scipy products.  A packed state is applied charge by charge: the tree is
 compiled once per charge into one sparse matrix on the packed vector of that
 charge's entries (see :meth:`FockBasis.packing`), so an application is one
 matvec per charge the state holds.
+
+A central potential is a RadialFunction sampled on a Space's own grid
+(``Space.sample``); a Space rejects one sampled on another grid.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,9 +37,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import (EPS3, PAULI, FockBasis, NCState, WeightedInnerProduct,
-                   coordinate_from_ladders, enumerate_basis,
+                   check_same_basis, coordinate_from_ladders, enumerate_basis,
                    interior_projection, ladder_matrix, radial_matrix,
-                   random_state)
+                   random_state, validate_lambda)
 
 __all__ = ["SuperOp", "RadialFunction", "Space"]
 
@@ -89,8 +93,7 @@ class SuperOp:
                        self.name)
 
     def __call__(self, psi: NCState) -> NCState:
-        if psi.basis.n_max != self.basis.n_max:
-            raise ValueError("state and operator live on different bases")
+        check_same_basis(self, psi)
         if psi.parts is None:
             return NCState(psi.basis, self._walk(psi.matrix))
         out = {}
@@ -298,6 +301,13 @@ class RadialFunction:
     def n_max(self) -> int:
         return len(self.values) - 1
 
+    def check_grid(self, space: "Space") -> None:
+        """Raise ValueError unless sampled on the grid of ``space`` (its n_max, lam)."""
+        got, want = (self.n_max, self.lam), (space.n_max, space.lam)
+        if got != want:
+            raise ValueError(f"{self.name!r} is sampled at (n_max, lam) {got}, "
+                             f"not at the space's {want}")
+
     def _extended(self) -> np.ndarray:
         """Values on shells -1 .. n_max+1 with constant extension at the ends."""
         v = self.values
@@ -334,7 +344,7 @@ def _sigma_pairs(j: int):
 
 def _op_key(arg):
     if isinstance(arg, RadialFunction):
-        return (arg.name, arg.values.tobytes())
+        return (arg.name, arg.lam, arg.values.tobytes())
     return arg
 
 
@@ -360,10 +370,7 @@ def _named(op: SuperOp, name: str, bandwidth: int) -> SuperOp:
 
 
 def _sum(ops) -> SuperOp:
-    out = None
-    for op in ops:
-        out = op if out is None else out + op
-    return out
+    return functools.reduce(operator.add, ops)
 
 
 class Space:
@@ -376,8 +383,7 @@ class Space:
     """
 
     def __init__(self, n_max: int, lam: float):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        validate_lambda(lam)
         self.n_max = n_max
         self.lam = float(lam)
         self.basis = enumerate_basis(n_max)
@@ -392,6 +398,12 @@ class Space:
         self._ops = {}
 
     # -- state helpers ----------------------------------------------------
+
+    def sample(self, fn: Optional[Callable[[float], float]],
+               name: str = "") -> Optional[RadialFunction]:
+        """fn on this space's radial grid, or None for no function."""
+        return None if fn is None else RadialFunction.from_callable(
+            fn, self.lam, self.n_max, name)
 
     def random_state(self, seed: int, kappa: int = 0,
                      support_max: Optional[int] = None) -> NCState:
@@ -467,8 +479,7 @@ class Space:
     @_memoized
     def radial_multiplication(self, f: RadialFunction) -> SuperOp:
         """Multiplication by f(r), acting shell-diagonally from the left."""
-        if f.n_max != self.n_max:
-            raise ValueError("radial function grid does not match the space")
+        f.check_grid(self)
         return SuperOp.left(self.basis, self.shell_diagonal(f.values), 0,
                             f.name or "f(r)")
 
@@ -593,6 +604,7 @@ class Space:
         with U', U'' the central lambda-differences on the shell grid.  The
         first term is left multiplication by the state V_i U(r) times -i.
         """
+        potential.check_grid(self)
         lam, basis = self.lam, self.basis
         du = SuperOp.left(basis, self.shell_diagonal(
             potential.lambda_derivative(1).values))

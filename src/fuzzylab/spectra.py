@@ -8,14 +8,16 @@ States of sharp angular momentum are built from monomials of total degree
 
 summed over m1 + m2 = n1 + n2 = j and (m1 - m2) - (n1 - n2) = 2m; the state
 lives on the total shell N = n + j.  Only integer j occurs for charge-zero
-states.  A sector's shells must be distinct, so its states have disjoint
-support and a diagonal Gram matrix; reducing a superoperator of shell
-bandwidth w computes only the entries within that bandwidth (the rest
-vanish exactly) and walks the operator tree once per group of states 2w + 1
-radial indices apart, whose images do not overlap, instead of once per
-state.  H = H0 + U(r) reduces to a hermitian tridiagonal radial matrix;
-``solve_sector`` takes it in closed form (``radial_hamiltonian``), with no
-sector state; the reduction is the reference it is checked against.
+states; ``sector_shells`` is the one rule for j, m, the wall and the cutoff,
+and a potential must be sampled on the space's own grid.  A sector's shells
+must be distinct, so its states have disjoint support and a diagonal Gram
+matrix; reducing a superoperator of shell bandwidth w computes only the
+entries within that bandwidth (the rest vanish exactly) and walks the
+operator tree once per group of states 2w + 1 radial indices apart, whose
+images do not overlap, instead of once per state.  H = H0 + U(r) reduces to
+a hermitian tridiagonal radial matrix; ``solve_sector`` takes it in closed
+form (``radial_hamiltonian``), with no sector state; the reduction is the
+reference it is checked against.
 
 Two walls are available.  ``boundary="hard"`` keeps every shell of the
 truncated arena, which is the cutoff itself (a+ annihilates the top shell)
@@ -44,18 +46,10 @@ __all__ = [
     "AngularSector", "SpectrumResult", "build_sector", "shell_state",
     "reduce_hamiltonian", "reduce_superop", "radial_hamiltonian",
     "eigen_solve", "commutative_oracle", "full_kappa0_spectrum",
-    "v2_consistency", "convergence_study", "ConvergenceRecord",
+    "v2_consistency", "convergence_study", "ConvergenceRecord", "sector_shells",
 ]
 
 GRAM_CONDITION_LIMIT = 1e8
-
-
-def _falling(n: int, k: int) -> float:
-    """n (n-1) ... (n-k+1)."""
-    out = 1.0
-    for t in range(k):
-        out *= n - t
-    return out
 
 
 def shell_state(space: Space, j: int, m: int, n: int) -> NCState:
@@ -76,8 +70,8 @@ def shell_state(space: Space, j: int, m: int, n: int) -> NCState:
             for q1 in range(n1, total - n2 + 1):
                 q2 = total - q1
                 p1, p2 = q1 - n1 + m1, q2 - n2 + m2
-                amp = math.sqrt(_falling(q1, n1) * _falling(q2, n2)
-                                * _falling(p1, m1) * _falling(p2, m2))
+                amp = math.sqrt(float(math.perm(q1, n1)) * math.perm(q2, n2)
+                                * math.perm(p1, m1) * math.perm(p2, m2))
                 rows.append(basis.index[(p1, p2)])
                 cols.append(basis.index[(q1, q2)])
                 vals.append(pref * amp)
@@ -107,34 +101,37 @@ class AngularSector:
         return self.lam * (self.shells + 1.0)
 
 
-def _sector_top(space: Space, j, m, boundary: str) -> int:
-    """Validate (j, m, boundary); return the sector's last shell.  Half-integer
-    j belongs to charged sectors and is rejected."""
-    if int(j) != j or j < 0:
-        raise ValueError("only integer j >= 0 occurs for charge-zero states; "
-                         f"got j={j}")
-    if abs(m) > j or int(m) != m:
+def sector_shells(n_max: int, j, m, boundary: str) -> range:
+    """The shells N = j .. top of the (j, m) sector below the cutoff n_max
+    (top = n_max with the hard wall, n_max - 1 with the Dirichlet one);
+    ``start`` is j as an integer.  The one rule for j, m, boundary and
+    cutoff: raises ValueError for a j that is not an integer >= 0
+    (half-integer j belongs to charged sectors), an m that is not an
+    integer with |m| <= j, an unknown boundary or an n_max below shell j."""
+    if not float(j).is_integer():
+        raise ValueError(f"j={j!r} is not an integer; half-integer j belongs "
+                         "to charged (kappa != 0) sectors, which are out of scope")
+    j = int(j)
+    if j < 0:
+        raise ValueError(f"j must be an integer >= 0; got j={j}")
+    if not float(m).is_integer() or abs(m) > j:
         raise ValueError(f"m must be an integer with |m| <= j; got m={m}")
     if boundary not in ("hard", "dirichlet"):
         raise ValueError("boundary must be 'hard' or 'dirichlet'")
-    top = space.n_max if boundary == "hard" else space.n_max - 1
-    if top < j:
-        raise ValueError(f"j={j} needs at least shell {j}; n_max too small")
-    return top
+    wall = int(boundary == "dirichlet")  # the Dirichlet wall drops the top shell
+    if n_max - wall < j:
+        raise ValueError(f"n_max too small: j={j} with the {boundary} boundary "
+                         f"needs n_max >= {j + wall}; got {n_max}")
+    return range(j, n_max - wall + 1)
 
 
 def build_sector(space: Space, j: int, m: int, boundary: str = "hard") -> AngularSector:
     """Build and normalize the radial basis of the (j, m) sector."""
-    top = _sector_top(space, j, m, boundary)
-    j = int(j)
-    states, shells = [], []
-    for n in range(0, top - j + 1):
+    shells = sector_shells(space.n_max, j, m, boundary)
+    j, states = shells.start, []
+    for n in range(len(shells)):
         s = shell_state(space, j, int(m), n)
-        nrm = space.ip.norm(s)
-        if nrm == 0.0:
-            raise ValueError(f"empty sector state (j={j}, m={m}, n={n})")
-        states.append(s * (1.0 / nrm))
-        shells.append(n + j)
+        states.append(s * (1.0 / space.ip.norm(s)))
     return AngularSector(j=j, m=int(m), lam=space.lam, boundary=boundary,
                          states=states, shells=np.asarray(shells, dtype=float))
 
@@ -148,15 +145,17 @@ def radial_hamiltonian(space: Space, j: int,
     H_k,k+1 = -sqrt(1 - j(j+1)/((N+1)(N+2))) / (2 lam^2).  The hard wall's
     top entry is n_max/(2 lam^2 (n_max+1)) + U, because a+ annihilates the
     top shell.  The matrix is the same for every m, which is only validated.
+    The potential must be sampled on the space's grid.
     """
-    top = _sector_top(space, j, j if m is None else m, boundary)
-    j, lam = int(j), space.lam
-    shells = np.arange(j, top + 1, dtype=float)
+    sector = sector_shells(space.n_max, j, j if m is None else m, boundary)
+    j, lam = sector.start, space.lam
+    shells = np.asarray(sector, dtype=float)
     diag = np.full(len(shells), 1.0 / lam**2)
     if boundary == "hard":
         diag[-1] = space.n_max / (2.0 * lam**2 * (space.n_max + 1))
     if potential is not None:
-        diag = diag + potential.values[j:top + 1]
+        potential.check_grid(space)
+        diag = diag + potential.values[j:sector.stop]
     n1, n2 = shells[:-1] + 1.0, shells[:-1] + 2.0
     off = -np.sqrt(1.0 - j * (j + 1) / (n1 * n2)) / (2.0 * lam**2)
     mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -197,13 +196,13 @@ def reduce_superop(space: Space, sector: AngularSector, op: SuperOp) -> np.ndarr
 
 
 def reduce_hamiltonian(space: Space, sector: AngularSector,
-                       potential: Optional[RadialFunction] = None,
-                       hermiticity_tol: float = 1e-12) -> np.ndarray:
-    """Reduced H = H0 + U(r); hermitian to machine precision by construction."""
+                       potential: Optional[RadialFunction] = None) -> np.ndarray:
+    """Reduced H = H0 + U(r); hermitian to machine precision by construction
+    (an error above 1e-12 of the largest entry raises)."""
     mat = reduce_superop(space, sector, space.hamiltonian(potential))
     scale = max(np.abs(mat).max(), 1.0)
     herm_err = np.abs(mat - mat.conj().T).max() / scale
-    if herm_err > hermiticity_tol:
+    if herm_err > 1e-12:
         raise ValueError(f"reduced Hamiltonian not hermitian (err {herm_err:.2e})")
     return 0.5 * (mat + mat.conj().T)
 
@@ -227,12 +226,13 @@ class SpectrumResult:
                 for k, e in enumerate(self.eigenvalues)]
 
 
-def eigen_solve(matrix: np.ndarray, residual_tol: float = 1e-8) -> tuple:
-    """Ascending eigensystem of a hermitian matrix with a residual guard."""
+def eigen_solve(matrix: np.ndarray) -> tuple:
+    """Ascending eigensystem of a hermitian matrix; an eigenpair residual
+    above 1e-8 of the largest entry raises."""
     evals, evecs = np.linalg.eigh(matrix)
     scale = max(np.abs(matrix).max(), 1.0)
     res = np.abs(matrix @ evecs - evecs * evals).max(axis=0)
-    bad = np.flatnonzero(res > residual_tol * scale)
+    bad = np.flatnonzero(res > 1e-8 * scale)
     if bad.size:
         k = bad[0]
         raise ValueError(f"eigenpair {k} residual {res[k]:.2e} exceeds tolerance")
@@ -286,23 +286,22 @@ def full_kappa0_spectrum(space: Space,
     return np.linalg.eigvalsh(symm)
 
 
-def v2_consistency(space: Space, j: int, boundary: str = "dirichlet",
-                   margin: int = 2) -> List[dict]:
+def v2_consistency(space: Space, j: int) -> List[dict]:
     """Interior residual of V^2 = 2E - lam^2 E^2 on each free sector eigenvector.
 
-    The quadratic map of the free eigenvalue reproduces the reduced V^2
-    exactly on radial rows at least ``margin`` below the wall; the wall rows
-    themselves carry the truncation and are excluded, mirroring the interior
-    discipline used for all operator identities.
+    The quadratic map of the free eigenvalue reproduces the reduced V^2 of
+    the Dirichlet sector exactly on radial rows at least 2 below the wall;
+    the wall rows themselves carry the truncation and are excluded,
+    mirroring the interior discipline used for all operator identities.
     """
-    sector = build_sector(space, j, j, boundary=boundary)
-    hmat, _grid = radial_hamiltonian(space, j, boundary=boundary)
+    sector = build_sector(space, j, j, boundary="dirichlet")
+    hmat, _grid = radial_hamiltonian(space, j, boundary="dirichlet")
     v = [space.velocity(k) for k in (1, 2, 3)]
     v2 = reduce_superop(space, sector, v[0] @ v[0] + v[1] @ v[1] + v[2] @ v[2])
     evals, evecs = eigen_solve(hmat)
     lam = space.lam
     out = []
-    keep = sector.dim - margin
+    keep = sector.dim - 2
     for k, e in enumerate(evals):
         target = 2.0 * e - lam**2 * e**2
         resid = v2 @ evecs[:, k] - target * evecs[:, k]
@@ -324,11 +323,6 @@ class ConvergenceRecord:
     energy_oracle: float
     gap: float
 
-    def as_dict(self) -> dict:
-        return {"lam": self.lam, "n_max": self.n_max, "j": self.j,
-                "level": self.level, "E_nc": self.energy_nc,
-                "E_oracle": self.energy_oracle, "gap": self.gap}
-
 
 def convergence_study(schedule: Sequence[tuple], j: int,
                       potential_fn: Optional[Callable[[float], float]] = None,
@@ -343,11 +337,8 @@ def convergence_study(schedule: Sequence[tuple], j: int,
     records = []
     for lam, n_max in schedule:
         space = Space(n_max, lam)
-        pot = None
-        if potential_fn is not None:
-            pot = RadialFunction.from_callable(potential_fn, lam, n_max,
-                                               name=potential_name)
-        result = solve_sector(space, j, pot, boundary="dirichlet")
+        result = solve_sector(space, j, space.sample(potential_fn, potential_name),
+                              boundary="dirichlet")
         sector_grid = np.asarray(result.metadata["grid"])
         uvals = None
         if potential_fn is not None:

@@ -338,3 +338,20 @@ def test_memoized_rewrite_matches_worklist_on_velocity_products(i, j):
         term = AlgebraExpr(terms={w: c})
         assert term.normal().terms == _worklist_normal(term), w
     assert product.normal().terms == _worklist_normal(product)
+
+
+def test_text_grammar_rejects_what_does_not_rebuild_the_text():
+    for text in ("(1) * aL[1] + ", "(1) * aL[1] junk (2) * aR[1]",
+                 "(1) * aL[1]) * aR[1]", "(1) *aL[1]"):
+        with pytest.raises(ValueError):
+            expr_from_text(text)
+    assert expr_from_text("").terms == {}
+
+
+def test_pauli_identities_see_a_wrong_sign(monkeypatch):
+    s1, s2, s3 = idn.PAULI_SYM
+    flipped = tuple(tuple(-x for x in row) for row in s2)
+    monkeypatch.setattr(idn, "PAULI_SYM", (s1, flipped, s3))
+    assert idn.fierz_residual() == 40
+    monkeypatch.setattr(idn, "PAULI_SYM", (s1, s2, s1))
+    assert idn.anticommutator_residual() != 0

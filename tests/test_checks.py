@@ -267,3 +267,15 @@ def test_measured_limit_records_pass_and_report_their_quantity():
     assert 0.4 < comm.residual < 0.6
     assert 0.0 < conv.residual < 1.0
     assert "shrink" in comm.detail
+
+
+def test_acceleration_and_diagnostic_suites_run_through_run_suite():
+    report = run_suite(CheckConfig(lams=(0.5,), n_maxes=(6,), n_states=1,
+                                   suites=("acceleration", "diagnostic")))
+    status = {r.check_id: r.status for r in report.records}
+    assert status == {"acceleration.r2": "pass", "acceleration.coulomb": "pass",
+                      "acceleration.exp": "pass", "acceleration.constant": "pass",
+                      "acceleration.full_hamiltonian": "pass",
+                      "diagnostic.kappa1_vv": "observed"}
+    assert all(np.isfinite(r.residual) for r in report.records)
+    assert report.passed

@@ -433,3 +433,28 @@ def test_cli_spectrum_rejects_nmax_count_mismatch(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --nmax needs one value")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--identity", "velocity-form"],
+    ["spectrum", "--lambda", "0.5", "--nmax", "6"],
+    ["spectrum", "--lambda", "0.5,0.25", "--nmax", "6,13"],
+    ["converge", "--schedule", "0.5:7"],
+    ["check", "--suite", "kinematics", "--lambda", "0.5", "--nmax", "4",
+     "--states", "1"],
+], ids=["prove", "spectrum", "spectrum-schedule", "converge", "check"])
+def test_cli_unwritable_out_is_an_error_line_and_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "result"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_sector_errors_come_from_the_library_rule(capsys):
+    assert main(["spectrum", "--j", "9.0", "--nmax", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: n_max too small: j=9 with the dirichlet boundary "
+                   "needs n_max >= 10; got 8\n")
+    assert main(["converge", "--j", "2", "--schedule", "0.5:7,0.25:2"]) == 2
+    assert "needs n_max >= 3; got 2" in capsys.readouterr().err

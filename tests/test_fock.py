@@ -276,3 +276,25 @@ def test_kappa_and_support_ignore_entries_below_tol(sparse):
     assert state.kappa(1e-6) == 0 and state.support_max(1e-6) == 3
     zero = NCState(basis, convert(np.zeros((basis.dim, basis.dim))))
     assert zero.kappa() is None and zero.support_max() == -1
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+def test_every_lambda_entry_point_rejects_a_nonfinite_or_nonpositive_lambda(lam):
+    from fuzzylab.operators import Space
+    basis = enumerate_basis(3)
+    for build in (lambda: Space(3, lam), lambda: coordinate_matrix(basis, 1, lam),
+                  lambda: radial_matrix(basis, lam),
+                  lambda: WeightedInnerProduct(basis, lam)):
+        with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+            build()
+
+
+def test_mixing_bases_raises_one_error_everywhere():
+    from fuzzylab.operators import Space
+    small, big = Space(4, 0.5), Space(5, 0.5)
+    phi, psi = small.random_state(1), big.random_state(2)
+    for mix in (lambda: phi + psi, lambda: phi - psi, lambda: phi @ psi,
+                lambda: small.velocity(1)(psi), lambda: small.ip(phi, psi),
+                lambda: small.ip(psi, psi), lambda: small.ip.by_shell(phi, psi)):
+        with pytest.raises(ValueError, match="different bases: n_max"):
+            mix()

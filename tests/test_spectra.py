@@ -559,3 +559,48 @@ def test_reduction_rejects_unordered_shells(space):
                                  shells=sector.shells[::-1])
     with pytest.raises(ValueError, match="strictly ascending"):
         spc.reduce_superop(space, shuffled, space.free_hamiltonian())
+
+
+def test_potential_sampled_on_another_grid_is_rejected():
+    space = Space(6, 0.5)
+    other_lam = RadialFunction.from_callable(lambda r: -1.0 / r, 0.25, 6,
+                                             name="coulomb")
+    other_nmax = RadialFunction.from_callable(lambda r: -1.0 / r, 0.5, 7,
+                                              name="coulomb")
+    for pot in (other_lam, other_nmax):
+        with pytest.raises(ValueError, match="sampled at"):
+            space.hamiltonian(pot)
+        with pytest.raises(ValueError, match="sampled at"):
+            spc.solve_sector(space, 1, pot)
+        with pytest.raises(ValueError, match="sampled at"):
+            space.acceleration_decomposed(1, pot)
+    # equal values on another lambda do not reuse the memoized operator
+    const = RadialFunction.from_callable(lambda r: 2.0, 0.5, 6, name="c")
+    space.hamiltonian(const)
+    with pytest.raises(ValueError, match="sampled at"):
+        space.hamiltonian(RadialFunction.from_callable(lambda r: 2.0, 0.25, 6,
+                                                       name="c"))
+
+
+def test_space_sample_is_from_callable_on_the_space_grid():
+    space = Space(6, 0.5)
+    got = space.sample(lambda r: -1.0 / r, "coulomb")
+    want = RadialFunction.from_callable(lambda r: -1.0 / r, 0.5, 6, "coulomb")
+    assert np.array_equal(got.values, want.values)
+    assert (got.lam, got.name) == (0.5, "coulomb")
+    assert space.sample(None) is None
+
+
+def test_sector_shells_is_the_sector_rule():
+    assert spc.sector_shells(8, 2, -1, "hard") == range(2, 9)
+    assert spc.sector_shells(8, 2.0, 0, "dirichlet") == range(2, 8)
+    assert type(spc.sector_shells(8, 2.0, 0, "hard").start) is int
+    assert spc.sector_shells(1, 0, 0, "dirichlet") == range(0, 1)
+    with pytest.raises(ValueError, match="half-integer"):
+        spc.sector_shells(8, 0.5, 0.5, "hard")
+    for m in (float("nan"), float("inf"), 0.5, 3):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            spc.sector_shells(8, 2, m, "hard")
+    with pytest.raises(ValueError, match=r"n_max too small: j=8 with the "
+                                         r"dirichlet boundary needs n_max >= 9"):
+        spc.sector_shells(8, 8.0, 0, "dirichlet")
