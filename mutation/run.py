@@ -1,0 +1,128 @@
+"""Mutation gate: every mutant below must make a tier-1 test it names fail.
+
+    python3 mutation/run.py
+
+For each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml``
+of this checkout to a fresh temporary directory, replaces one exact snippet
+of one program file there, and runs the tier-1 tests the mutant names in
+that directory, so that pytest's ``pythonpath = ["src"]`` imports the
+mutated copy.  A mutant is "killed" when those tests fail.  The named tests
+first run once on the unmutated copy and must pass there.
+
+A snippet that is missing, or occurs more than once, stops the run before
+any test: a refactor updates this list on purpose.  The exit status is 1 if
+any mutant survives and 2 if the gate cannot run.  Uses only the stdlib
+(and pytest, which tier-1 needs anyway).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "fuzzylab"
+
+#: (name, file under src/fuzzylab, old snippet, new snippet, tests)
+MUTANTS = [
+    ("skip recorded as a pass", "checks.py",
+     'f"skipped: {exc}", False\n                status = "skip"',
+     'f"skipped: {exc}", True\n                status = "pass"',
+     ["tests/test_checks.py::test_spectra_checks_without_a_sector_skip_and_fail_the_run"]),
+    ("ValueError recorded as a pass", "checks.py",
+     'f"error: {exc}", False\n                status = "error"',
+     'f"error: {exc}", True\n                status = "pass"',
+     ["tests/test_cli.py::test_value_error_inside_a_check_fails_its_record"]),
+    ("NaN allowed in JSON", "report.py",
+     "json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,\n"
+     "                          allow_nan=False)",
+     "json.dumps(payload, indent=2, sort_keys=True,\n"
+     "                          allow_nan=True)",
+     ["tests/test_cli.py::test_cli_json_report_writes_null_for_errors"]),
+    ("commutator coefficients replaced by their moduli", "checks.py",
+     "operator.add, (c * op(psi) for c, op in terms)",
+     "operator.add, (abs(c) * op(psi) for c, op in terms)",
+     ["tests/test_checks.py::test_negated_target_coefficient_gives_order_one_residual"]),
+    ("+1 delta for both families", "algebra.py",
+     'delta = 1 if g1[0] == "a" else -1',
+     "delta = 1",
+     ["tests/test_algebra.py::test_memoized_rewrite_matches_worklist_on_short_words"]),
+    ("number-relation shift s off by one", "algebra.py",
+     "s = sum(1 for g in w if g[0] == fam and g[1]) - 1",
+     "s = sum(1 for g in w if g[0] == fam and g[1])",
+     ["tests/test_algebra.py::test_memoized_rewrite_matches_worklist_on_short_words"]),
+    ("operator cache keyed by name", "checks.py",
+     "k = (op,) + key",
+     "k = (op.name,) + key",
+     ["tests/test_cli.py::test_op_cache_tells_same_named_operators_apart"]),
+    ("Space memo keys a radial function by name", "operators.py",
+     "(a.name, a.lam, a.values.tobytes()) if isinstance(a, RadialFunction)",
+     "a.name if isinstance(a, RadialFunction)",
+     ["tests/test_operators.py::test_space_operators_are_memoized"]),
+    ("right-leaf column offset off by one", "operators.py",
+     "src.offset[row] + i - first[i]",
+     "src.offset[row] + i - first[i] + 1",
+     ["tests/test_operators.py::test_compiled_path_matches_tree_walk"]),
+    ("grid pole rows dropped", "operators.py",
+     "checks += (mat[hit],)",
+     "checks += ()",
+     ["tests/test_algebra.py::test_to_superop_pole_masking_and_error"]),
+    ("compose drops the outer checks", "operators.py",
+     "checks + tuple((c @ m1).tocsr() for c in more)",
+     "checks",
+     ["tests/test_algebra.py::test_pole_check_survives_composition"]),
+]
+
+
+def _copy_tree(dest: Path) -> Path:
+    dest.mkdir()
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    return dest
+
+
+def _passes(tree: Path, tests) -> bool:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)  # the copy's src comes from pyproject.toml
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode == 0
+
+
+def main() -> int:
+    for name, path, old, _new, _tests in MUTANTS:
+        count = (ROOT / PACKAGE / path).read_text().count(old)
+        if count != 1:
+            print(f"error: mutant {name!r}: its snippet occurs {count} times "
+                  f"in {PACKAGE / path}, not once", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="fuzzylab-mutation-") as tmp:
+        tests = sorted({t for m in MUTANTS for t in m[4]})
+        if not _passes(_copy_tree(Path(tmp) / "base"), tests):
+            print("error: the named tests fail on the unmutated code",
+                  file=sys.stderr)
+            return 2
+        survivors = 0
+        for k, (name, path, old, new, tests) in enumerate(MUTANTS):
+            t0 = time.perf_counter()
+            tree = _copy_tree(Path(tmp) / f"mutant{k}")
+            target = tree / PACKAGE / path
+            target.write_text(target.read_text().replace(old, new))
+            killed = not _passes(tree, tests)
+            survivors += not killed
+            print(f"{'killed' if killed else 'survived':8s} {name} "
+                  f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -134,10 +134,10 @@ def _validate_config(config: CheckConfig) -> None:
 
 
 def _states(space: Space, config: CheckConfig, margin: int,
-            kappa: int = 0, at_least: int = 1) -> List[NCState]:
-    """``config.n_states`` seeded random states, or ``at_least`` if more."""
-    support = max(space.n_max - margin, abs(kappa))
-    return [space.random_state(config.seed + 1000 * t, kappa, support)
+            at_least: int = 1) -> List[NCState]:
+    """``config.n_states`` seeded charge-0 states, or ``at_least`` if more."""
+    support = max(space.n_max - margin, 0)
+    return [space.random_state(config.seed + 1000 * t, 0, support)
             for t in range(max(config.n_states, at_least))]
 
 
@@ -592,12 +592,21 @@ def _run_h0_positivity(space: Space, config: CheckConfig):
 # ---- spectra ---------------------------------------------------------------------
 
 
+def _dirichlet_sectors(space: Space, js, least: int = 1) -> List[int]:
+    """The j of ``js`` whose Dirichlet sector (and so the hard-wall one) has
+    at least ``least`` radial states."""
+    def size(j):
+        try:
+            return len(spc.sector_shells(space.n_max, j, 0, "dirichlet"))
+        except ValueError:  # n_max is below the sector
+            return 0
+    return [j for j in js if size(j) >= least]
+
+
 def _run_spectrum_bound(space: Space, config: CheckConfig):
     lam = space.lam
     worst = 0.0
-    for j in (0, 1, 2):
-        if j > space.n_max - 1:
-            continue
+    for j in _dirichlet_sectors(space, (0, 1, 2)):
         for boundary in ("hard", "dirichlet"):
             res = spc.solve_sector(space, j, None, boundary=boundary)
             ev = res.eigenvalues
@@ -607,10 +616,11 @@ def _run_spectrum_bound(space: Space, config: CheckConfig):
 
 
 def _run_v2_consistency(space: Space, config: CheckConfig):
-    sectors = [j for j in (0, 1, 2) if j <= space.n_max - 3]
+    # two wall rows are dropped, so keep sectors with a third radial state
+    sectors = _dirichlet_sectors(space, (0, 1, 2), least=3)
     if not sectors:
-        raise CheckSkipped(f"no sector j = 0, 1, 2 has j <= n_max - 3 "
-                           f"(n_max {space.n_max})")
+        raise CheckSkipped(f"no Dirichlet sector j = 0, 1, 2 has 3 radial "
+                           f"states (n_max {space.n_max})")
     worst = 0.0
     for j in sectors:
         for row in spc.v2_consistency(space, j):
@@ -624,10 +634,9 @@ def _config_potential(space: Space, config: CheckConfig) -> Optional[RadialFunct
 
 
 def _run_m_independence(space: Space, config: CheckConfig):
-    sectors = [j for j in (1, 2) if j <= space.n_max - 1]
+    sectors = _dirichlet_sectors(space, (1, 2))
     if not sectors:
-        raise CheckSkipped(f"no sector j = 1, 2 has j <= n_max - 1 "
-                           f"(n_max {space.n_max})")
+        raise CheckSkipped(f"no Dirichlet sector j = 1, 2 (n_max {space.n_max})")
     across_m = closed = 0.0
     pot = _config_potential(space, config)
     for j in sectors:

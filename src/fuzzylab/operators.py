@@ -17,10 +17,13 @@ exact; the sum of composed bandwidths is always a safe margin.
 
 A SuperOp is an expression tree whose leaves multiply the state from the
 left or the right by a fixed matrix.  A sparse state walks the tree with
-scipy products.  A packed state is applied charge by charge: the tree is
-compiled once per charge into one sparse matrix on the packed vector of that
-charge's entries (see :meth:`FockBasis.packing`), so an application is one
-matvec per charge the state holds.
+scipy products.  Each operator has one charge shift s: it takes charge kappa
+to kappa + s (s = +-1 for a ladder leaf, 0 for the operators of the paper).
+A packed state is applied charge by charge: the tree is compiled once per
+input charge into one sparse matrix from the packed charge-kappa vector to
+the packed charge-(kappa + s) vector (see :meth:`FockBasis.packing`), so an
+application is one matvec per charge the state holds.  A sum of operators
+with different shifts applies to sparse states only.
 
 A central potential is a RadialFunction sampled on a Space's own grid
 (``Space.sample``); a Space rejects one sampled on another grid.
@@ -98,12 +101,10 @@ class SuperOp:
             return NCState(psi.basis, self._walk(psi.matrix))
         out = {}
         for kappa, x in sorted(psi.parts.items()):
-            outs, checks = self._compile(kappa)
+            k, mat, checks = self._compile(kappa)
             if any(np.any(c @ x) for c in checks):
                 raise ValueError("coefficient pole hit an occupied shell")
-            for k, mat in outs.items():
-                y = mat @ x
-                out[k] = out[k] + y if k in out else y
+            out[k] = mat @ x
         return NCState(psi.basis, out)
 
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
@@ -131,10 +132,8 @@ class SuperOp:
         return self * (-1.0)
 
     def commutator(self, other: "SuperOp") -> "SuperOp":
-        op = self @ other - other @ self
-        op.name = f"[{self.name},{other.name}]"
-        op.bandwidth = self.bandwidth + other.bandwidth
-        return op
+        return _named(self @ other - other @ self, f"[{self.name},{other.name}]",
+                      self.bandwidth + other.bandwidth)
 
     # -- sparse states: walk the tree with scipy products -------------------
 
@@ -163,21 +162,21 @@ class SuperOp:
             raise ValueError("coefficient pole hit an occupied shell")
         return sp.csr_matrix((vals, (cur.row, cur.col)), shape=cur.shape)
 
-    # -- packed states: one compiled matrix per charge ---------------------
+    # -- packed states: one compiled matrix per input charge ----------------
 
     def packed_matrix(self, kappa: int = 0) -> sp.csr_matrix:
         """The compiled map of a charge-preserving operator on packed
         charge-kappa vectors."""
-        outs, checks = self._compile(kappa)
-        if set(outs) - {kappa} or checks:
+        k, mat, checks = self._compile(kappa)
+        if k != kappa or checks:
             raise ValueError(f"{self.name} is not one matrix on charge {kappa}")
-        size = self.basis.packing(kappa).size
-        return outs.get(kappa, sp.csr_matrix((size, size), dtype=complex))
+        return mat
 
     def _compile(self, kappa: int, keep: bool = True):
-        """(maps, checks) on packed charge-kappa input: ``maps[k]`` takes it
-        to the packed charge-k output; every check must map it to zero, or a
-        coefficient pole meets a nonzero entry."""
+        """(k, map, checks) on packed charge-kappa input: ``map`` takes it to
+        the packed vector of the one output charge k; every check must map it
+        to zero, or a coefficient pole meets a nonzero entry.  Raises
+        ValueError for a tree that mixes charge shifts."""
         got = self._compiled.get(kappa)
         if got is None:
             got = self._build(int(kappa))
@@ -188,53 +187,41 @@ class SuperOp:
     def _build(self, kappa: int):
         kind, args, basis = self.kind, self.args, self.basis
         if kind in ("left", "right"):
-            return _leaf_maps(basis, args[0], kappa, kind == "left"), ()
+            k, mat = _leaf_map(basis, args[0], kappa, kind == "left")
+            return k, mat, ()
         if kind == "id":
             size = basis.packing(kappa).size
-            return {kappa: sp.identity(size, dtype=complex, format="csr")}, ()
+            return kappa, sp.identity(size, dtype=complex, format="csr"), ()
         if kind == "scale":
-            outs, checks = args[1]._compile(kappa, False)
-            return {k: args[0] * mat for k, mat in outs.items()}, checks
+            k, mat, checks = args[1]._compile(kappa, False)
+            return k, args[0] * mat, checks
         if kind in ("add", "sub"):
-            outs, checks = args[0]._compile(kappa, False)
-            more_outs, more = args[1]._compile(kappa, False)
-            return _merged(outs, more_outs, kind == "sub"), checks + more
+            k, mat, checks = args[0]._compile(kappa, False)
+            k2, mat2, more = args[1]._compile(kappa, False)
+            if k2 != k:
+                raise ValueError(f"{self.name} mixes charge shifts "
+                                 f"{k - kappa} and {k2 - kappa}")
+            return k, (mat - mat2 if kind == "sub" else mat + mat2).tocsr(), \
+                checks + more
         if kind == "compose":
             outer, inner = args
-            outs, checks = inner._compile(kappa, False)
-            total = {}
-            for k1, m1 in outs.items():
-                outs2, more = outer._compile(k1, False)
-                checks += tuple((c @ m1).tocsr() for c in more)
-                total = _merged(total, {k2: m2 @ m1 for k2, m2 in outs2.items()})
-            return total, checks
+            k1, m1, checks = inner._compile(kappa, False)
+            k, m2, more = outer._compile(k1, False)
+            return k, m2 @ m1, checks + tuple((c @ m1).tocsr() for c in more)
         coefficient, op = args
-        outs, checks = op._compile(kappa, False)
-        total = {}
-        for k, mat in outs.items():
-            flat = basis.packing(k).flat
-            grid = coefficient(flat // basis.dim, flat % basis.dim)
-            finite = np.isfinite(grid)
-            total[k] = (sp.diags(np.where(finite, grid, 0.0)) @ mat).tocsr()
-            hit = ~finite & (np.diff(mat.indptr) > 0)
-            if hit.any():
-                checks += (mat[hit],)
-        return total, checks
+        k, mat, checks = op._compile(kappa, False)
+        flat = basis.packing(k).flat
+        grid = coefficient(flat // basis.dim, flat % basis.dim)
+        finite = np.isfinite(grid)
+        hit = ~finite & (np.diff(mat.indptr) > 0)
+        if hit.any():
+            checks += (mat[hit],)
+        return k, (sp.diags(np.where(finite, grid, 0.0)) @ mat).tocsr(), checks
 
 
-def _merged(a: dict, b: dict, subtract: bool = False) -> dict:
-    """Sum (or difference) of two charge -> matrix maps."""
-    out = dict(a)
-    for k, mat in b.items():
-        if k not in out:
-            out[k] = -mat if subtract else mat
-        else:
-            out[k] = (out[k] - mat if subtract else out[k] + mat).tocsr()
-    return out
-
-
-def _leaf_maps(basis: FockBasis, matrix, kappa: int, left: bool) -> dict:
-    """Packed maps of psi -> M psi (``left``) or psi -> psi M on charge kappa.
+def _leaf_map(basis: FockBasis, matrix, kappa: int, left: bool):
+    """(k, map) of psi -> M psi (``left``) or psi -> psi M on packed charge
+    kappa, where k = kappa + s for the one shell shift s of M's entries.
 
     Built from shell arithmetic: left multiplication by the entry M[i, j]
     moves row j of the state to row i along the whole right shell
@@ -246,6 +233,11 @@ def _leaf_maps(basis: FockBasis, matrix, kappa: int, left: bool) -> dict:
     first = shells * (shells + 1) // 2  # start index of each entry's shell
     i = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
     j, v = matrix.indices, matrix.data
+    shifts = np.unique(shells[i] - shells[j])
+    if len(shifts) > 1:
+        raise ValueError(f"leaf matrix mixes charge shifts {shifts.tolist()}")
+    k = kappa + int(shifts.sum())  # an empty matrix keeps the charge
+    src, dst = basis.packing(kappa), basis.packing(k)
     span = shells[j] - kappa if left else shells[i] + kappa
     ok = (span >= 0) & (span <= n_max)
     i, j, v, span = i[ok], j[ok], v[ok], span[ok]
@@ -253,27 +245,16 @@ def _leaf_maps(basis: FockBasis, matrix, kappa: int, left: bool) -> dict:
     entry = np.repeat(np.arange(len(v)), count)
     t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     i, j, v = i[entry], j[entry], v[entry]
-    src = basis.packing(kappa)
-    shift = shells[i] - shells[j]
     if left:
-        rows_out, pos_in, pos_out = i, src.offset[j] + t, t
+        out, col = dst.offset[i] + t, src.offset[j] + t
     else:
         row = span[entry] * (span[entry] + 1) // 2 + t
-        rows_out, pos_in, pos_out = row, src.offset[row] + i - first[i], j - first[j]
-    maps = {}
-    low, high = (int(shift.min()), int(shift.max())) if len(shift) else (0, -1)
-    for s in range(low, high + 1):
-        sel = slice(None) if low == high else shift == s
-        dst = basis.packing(kappa + s)
-        out, col = dst.offset[rows_out[sel]] + pos_out[sel], pos_in[sel]
-        if len(out) == 0:
-            continue
-        order = np.lexsort((col, out))
-        indptr = np.zeros(dst.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(out, minlength=dst.size), out=indptr[1:])
-        maps[kappa + s] = sp.csr_matrix(
-            (v[sel][order], col[order], indptr), shape=(dst.size, src.size))
-    return maps
+        out, col = dst.offset[row] + j - first[j], src.offset[row] + i - first[i]
+    order = np.lexsort((col, out))
+    indptr = np.zeros(dst.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(out, minlength=dst.size), out=indptr[1:])
+    return k, sp.csr_matrix((v[order], col[order], indptr),
+                            shape=(dst.size, src.size))
 
 
 @dataclass
@@ -290,9 +271,13 @@ class RadialFunction:
     name: str = ""
     boundary_flags: tuple = ()
 
+    def __post_init__(self):
+        validate_lambda(self.lam)
+
     @classmethod
     def from_callable(cls, fn: Callable[[float], float], lam: float, n_max: int,
                       name: str = "") -> "RadialFunction":
+        validate_lambda(lam)  # before fn sees the grid
         r = lam * (np.arange(n_max + 1) + 1.0)
         return cls(values=np.asarray([fn(ri) for ri in r], dtype=float),
                    lam=lam, name=name or getattr(fn, "__name__", ""))
@@ -308,11 +293,6 @@ class RadialFunction:
             raise ValueError(f"{self.name!r} is sampled at (n_max, lam) {got}, "
                              f"not at the space's {want}")
 
-    def _extended(self) -> np.ndarray:
-        """Values on shells -1 .. n_max+1 with constant extension at the ends."""
-        v = self.values
-        return np.concatenate(([v[0]], v, [v[-1]]))
-
     def lambda_derivative(self, order: int = 1) -> "RadialFunction":
         """Central lambda-difference; exact for the identities in play.
 
@@ -322,7 +302,8 @@ class RadialFunction:
         """
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        ext = self._extended()
+        v = self.values  # extended to shells -1 .. n_max + 1 by constants
+        ext = np.concatenate(([v[0]], v, [v[-1]]))
         up, mid, down = ext[2:], ext[1:-1], ext[:-2]
         if order == 1:
             vals = (up - down) / (2.0 * self.lam)
@@ -342,19 +323,15 @@ def _sigma_pairs(j: int):
             if sig[al, be] != 0]
 
 
-def _op_key(arg):
-    if isinstance(arg, RadialFunction):
-        return (arg.name, arg.lam, arg.values.tobytes())
-    return arg
-
-
 def _memoized(build):
     """Space method returning the same (shared) SuperOp for the same
     arguments."""
 
     @functools.wraps(build)
     def method(self, *args):
-        key = (build.__name__,) + tuple(_op_key(a) for a in args)
+        key = (build.__name__,) + tuple(
+            (a.name, a.lam, a.values.tobytes()) if isinstance(a, RadialFunction)
+            else a for a in args)
         op = self._ops.get(key)
         if op is None:
             op = self._ops[key] = build(self, *args)
@@ -448,8 +425,7 @@ class Space:
     @_memoized
     def angular_momentum(self, k: int) -> SuperOp:
         """L_k psi = [x_k, psi] / (2 lam)."""
-        xk = self.x[k - 1]
-        comm = SuperOp.left(self.basis, xk) - SuperOp.right(self.basis, xk)
+        comm = self.position_left(k) - self.position_right(k)
         return _named((1.0 / (2.0 * self.lam)) * comm, f"L{k}", 0)
 
     @_memoized
@@ -604,14 +580,11 @@ class Space:
         with U', U'' the central lambda-differences on the shell grid.  The
         first term is left multiplication by the state V_i U(r) times -i.
         """
-        potential.check_grid(self)
-        lam, basis = self.lam, self.basis
-        du = SuperOp.left(basis, self.shell_diagonal(
-            potential.lambda_derivative(1).values))
-        ddu = SuperOp.left(basis, self.shell_diagonal(
-            potential.lambda_derivative(2).values))
+        lam = self.lam
+        du = self.radial_multiplication(potential.lambda_derivative(1))
+        ddu = self.radial_multiplication(potential.lambda_derivative(2))
         grad = (du.args[0] @ self.rinv) @ self.x[i - 1]  # (x_i/r) U'(r)
-        op = SuperOp.left(basis, -grad) \
+        op = SuperOp.left(self.basis, -grad) \
             + du @ (lam * (self._rinv() @ self.angular_momentum(i))) \
             + lam * (du @ self.w_vector(i)) \
             + (-0.5j * lam**2) * (ddu @ self.velocity(i))

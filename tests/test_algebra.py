@@ -355,3 +355,18 @@ def test_pauli_identities_see_a_wrong_sign(monkeypatch):
     assert idn.fierz_residual() == 40
     monkeypatch.setattr(idn, "PAULI_SYM", (s1, s2, s1))
     assert idn.anticommutator_residual() != 0
+
+
+def test_pole_check_survives_composition():
+    import scipy.sparse as sp
+    space = Space(5, 0.5)
+    psi = space.random_state(2, 0, 3)
+    bad = to_superop(coeff(1 / (R - LAM)), space)
+    # a_1 from the left fills row shell 0, where the outer 1/(r - lam) has its
+    # pole; a+_1 never does
+    lowered = bad @ space.ladder("L", 1, False)
+    for state in (psi, space.state(sp.csr_matrix(psi.matrix))):
+        with pytest.raises(ValueError, match="pole"):
+            lowered(state)
+    raised = bad @ space.ladder("L", 1, True)
+    assert np.all(np.isfinite(raised(psi).dense()))

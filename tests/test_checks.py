@@ -279,3 +279,56 @@ def test_acceleration_and_diagnostic_suites_run_through_run_suite():
                       "diagnostic.kappa1_vv": "observed"}
     assert all(np.isfinite(r.residual) for r in report.records)
     assert report.passed
+
+
+
+class _SectorSpy:
+    """Stands in for ``checks.spc``: records the j each sector runner asks
+    for and hands back placeholder results."""
+
+    def __init__(self):
+        self.seen = set()
+
+    def __getattr__(self, name):
+        from fuzzylab import spectra
+        return getattr(spectra, name)
+
+    def solve_sector(self, space, j, potential, boundary):
+        from types import SimpleNamespace
+        self.seen.add(j)
+        return SimpleNamespace(eigenvalues=np.zeros(1))
+
+    def v2_consistency(self, space, j):
+        self.seen.add(j)
+        return []
+
+    def build_sector(self, space, j, m, boundary):
+        self.seen.add(j)
+
+    def reduce_hamiltonian(self, space, sector, potential):
+        return np.zeros((1, 1))
+
+    def radial_hamiltonian(self, space, j, potential, boundary):
+        return np.zeros((1, 1)), None
+
+
+def test_sector_runners_keep_the_old_cutoff_rules(monkeypatch):
+    for n_max in range(1, 11):
+        # the rules as the runners wrote them before asking sector_shells
+        old = {
+            checks._run_spectrum_bound: {j for j in (0, 1, 2) if not j > n_max - 1},
+            checks._run_v2_consistency: {j for j in (0, 1, 2) if j <= n_max - 3},
+            checks._run_m_independence: {j for j in (1, 2) if j <= n_max - 1},
+        }
+        space = Space(n_max, 0.5)
+        for runner, want in old.items():
+            spy = _SectorSpy()
+            monkeypatch.setattr(checks, "spc", spy)
+            try:
+                runner(space, CheckConfig())
+                skipped = False
+            except checks.CheckSkipped:
+                skipped = True
+            assert spy.seen == want, (runner.__name__, n_max)
+            # the bound check has no skip: it reports 0 with no sector
+            assert skipped == (not want and runner is not checks._run_spectrum_bound)

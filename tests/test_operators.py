@@ -489,3 +489,52 @@ def test_mixed_charge_states_apply_every_charge():
         got = op(mixed).matrix
         assert np.abs(got - walked).max() <= 1e-13 * np.abs(walked).max(), \
             op.name
+
+
+def test_mixed_shift_sum_applies_to_sparse_states_only():
+    import scipy.sparse as sp
+
+    from fuzzylab.operators import SuperOp
+    space = Space(6, 0.5)
+    psi = space.random_state(1, 0, 5)
+    mixed = space.ladder("L", 1, False) + space.ladder("L", 1, True)
+    with pytest.raises(ValueError, match="mixes charge shifts"):
+        mixed(psi)
+    with pytest.raises(ValueError, match="mixes charge shifts"):
+        SuperOp.left(space.basis, space.a[0] + space.ad[0])(psi)
+    walked = mixed(space.state(sp.csr_matrix(psi.matrix))).matrix.toarray()
+    want = (space.a[0] + space.ad[0]) @ psi.dense()
+    assert np.abs(walked - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _nodes(op):
+    """Every node of an operator tree, the root included."""
+    from fuzzylab.operators import SuperOp
+    out = [op]
+    for arg in op.args:
+        if isinstance(arg, SuperOp):
+            out += _nodes(arg)
+    return out
+
+
+def test_space_operators_share_memoized_leaves():
+    space = Space(6, 0.5)
+    pot = space.sample(lambda r: -1.0 / r, "coulomb")
+    for k in (1, 2, 3):
+        nodes = _nodes(space.angular_momentum(k))
+        for leaf in (space.position_left(k), space.position_right(k)):
+            assert any(n is leaf for n in nodes), (k, leaf.name)
+        nodes = _nodes(space.acceleration_decomposed(k, pot))
+        for order in (1, 2):
+            leaf = space.radial_multiplication(pot.lambda_derivative(order))
+            assert any(n is leaf for n in nodes), (k, order)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+def test_radial_function_rejects_a_bad_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+        RadialFunction(np.ones(3), lam)
+    sampled = []
+    with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+        RadialFunction.from_callable(lambda r: sampled.append(r) or r, lam, 4)
+    assert sampled == []
