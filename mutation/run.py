@@ -28,6 +28,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "fuzzylab"
 
+#: the test that pins every proof transcript byte for byte
+TRANSCRIPTS = ("tests/test_cli.py::"
+               "test_cli_prove_all_transcripts_match_golden_file")
+
 #: (name, file under src/fuzzylab, old snippet, new snippet, tests)
 MUTANTS = [
     ("skip recorded as a pass", "checks.py",
@@ -76,6 +80,37 @@ MUTANTS = [
      "checks + tuple((c @ m1).tocsr() for c in more)",
      "checks",
      ["tests/test_algebra.py::test_pole_check_survives_composition"]),
+    ("eps sign flipped in the radial-shift contraction", "identities.py",
+     "t_rad = _eps_sum(k, lambda",
+     "t_rad = (-1) * _eps_sum(k, lambda",
+     [TRANSCRIPTS]),
+    ("kappa reduction shifts r_R the wrong way", "algebra.py",
+     "R - LAM * (db - da)",
+     "R + LAM * (db - da)",
+     # every word of the five proofs has charge shift 0, so only a
+     # charge-raising word tells the two signs apart
+     [TRANSCRIPTS,
+      "tests/test_algebra.py::test_kappa_reduce_shifts_right_radius_by_word_charge"]),
+    ("kappa reduction keeps zero terms", "algebra.py",
+     "terms={w: c for w, c in out.items() if c != 0}",
+     "terms=out",
+     [TRANSCRIPTS]),
+    ("[a_b, x_j] term of the Leibniz correction sign-flipped", "identities.py",
+     "+ ann_x * (aL_dag(al) - aR_dag(al))",
+     "- ann_x * (aL_dag(al) - aR_dag(al))",
+     [TRANSCRIPTS]),
+    ("double-commutator H0 with a + inside", "identities.py",
+     "(aL_dag(al) - aR_dag(al)) * (aL(al) - aR(al))",
+     "(aL_dag(al) + aR_dag(al)) * (aL(al) - aR(al))",
+     [TRANSCRIPTS]),
+    ("V_4 with a - between its two terms", "identities.py",
+     "aL_dag(al) * aR(al) + aL(al) * aR_dag(al) for al",
+     "aL_dag(al) * aR(al) - aL(al) * aR_dag(al) for al",
+     [TRANSCRIPTS]),
+    ("sig.A target takes +w", "identities.py",
+     '("A", A_hat, -1)',
+     '("A", A_hat, 1)',
+     [TRANSCRIPTS]),
 ]
 
 

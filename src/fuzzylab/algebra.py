@@ -216,25 +216,24 @@ class AlgebraExpr:
 
     # -- charge bookkeeping --------------------------------------------------
 
-    def kappa_shifts(self) -> set:
-        """Set of charge shifts (creation minus annihilation counts) over terms."""
-        return {db - da for da, db in map(_word_shifts, self.terms)}
-
     def kappa_reduce(self, allow_mixed: bool = False) -> "AlgebraExpr":
         """Identify the right radius with the left one, as valid on charge-zero
-        states: a normal-ordered term with word charge shift s satisfies
-        r_R = r - lam * s there.  Mixed-shift expressions are refused unless
-        explicitly annotated with ``allow_mixed``."""
+        states: a normal-ordered term with word charge shift s (creation minus
+        annihilation count) satisfies r_R = r - lam * s there.  The words stay
+        normal, so only the substituted coefficients are canonicalized again.
+        Mixed-shift expressions are refused unless explicitly annotated with
+        ``allow_mixed``."""
         nf = self.normal()
-        shifts = nf.kappa_shifts()
+        shifts = {db - da for da, db in map(_word_shifts, nf.terms)}
         if len(shifts) > 1 and not allow_mixed:
             raise ValueError(f"mixed charge shifts {sorted(shifts)}; "
                              "pass allow_mixed=True to reduce sector-wise")
-        out = AlgebraExpr()
+        out = {}
         for w, c in nf.terms.items():
             da, db = _word_shifts(w)
-            out._accumulate(w, c.subs(RR, R - LAM * (db - da)))
-        return out.normal()
+            out[w] = _canonical_coeff(c.subs(RR, R - LAM * (db - da)))
+        return AlgebraExpr(terms={w: c for w, c in out.items() if c != 0},
+                           is_normal=True)
 
     # -- inspection -----------------------------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import EPS3, NCState, validate_lambda
+from .fock import EPS3, NCState, radial_grid, validate_lambda
 from .operators import RadialFunction, Space, SuperOp
 from .report import FORMATS, CheckRecord, VerificationReport
 from . import spectra as spc
@@ -425,7 +425,7 @@ def _run_h0_forms(s: Space):
 
 def _run_leibniz(space: Space, config: CheckConfig):
     margin = _margin(config, 2)
-    support = space.n_max - margin
+    support = max(space.n_max - margin, 0)
     worst = 0.0
     for t in range(config.n_states):
         A = space.random_state(config.seed + 10 * t, 0, support)
@@ -690,7 +690,7 @@ def _run_comm_limit(space: Space, config: CheckConfig):
     for lam in (0.2, 0.1, 0.05):
         n_max = int(round(box / lam)) - 1
         sub = Space(n_max, lam)
-        shell_r = lam * (np.arange(n_max + 1) + 1.0)
+        shell_r = radial_grid(lam, np.arange(n_max + 1))
         f_state = sub.state(sub.shell_diagonal(np.exp(-shell_r)))
         df_diag = sub.shell_diagonal(-np.exp(-shell_r))  # exact d/dr of exp(-r)
         worst = 0.0

@@ -40,6 +40,7 @@ __all__ = [
     "NCState",
     "WeightedInnerProduct",
     "validate_lambda",
+    "radial_grid",
     "check_same_basis",
     "enumerate_basis",
     "ladder_matrix",
@@ -70,6 +71,11 @@ def validate_lambda(lam: float) -> None:
     """Raise ValueError unless lambda is finite and > 0."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be finite and > 0; got {lam!r}")
+
+
+def radial_grid(lam: float, shells) -> np.ndarray:
+    """The radius r_N = lam (N + 1) of each shell N in ``shells``."""
+    return lam * (np.asarray(shells, dtype=float) + 1.0)
 
 
 def check_same_basis(*items) -> None:
@@ -223,7 +229,7 @@ def coordinate_from_ladders(a, ad, j: int, lam: float) -> sp.csr_matrix:
 def radial_matrix(basis: FockBasis, lam: float) -> FockMatrix:
     """r = lam * (N + 1): diagonal, strictly positive."""
     validate_lambda(lam)
-    diag = lam * (basis.shells.astype(float) + 1.0)
+    diag = radial_grid(lam, basis.shells)
     return FockMatrix(basis, sp.diags(diag, format="csr", dtype=complex))
 
 
@@ -353,7 +359,7 @@ class WeightedInnerProduct:
 
     def __post_init__(self):
         validate_lambda(self.lam)
-        self.r_diag = self.lam * (self.basis.shells.astype(float) + 1.0)
+        self.r_diag = radial_grid(self.lam, self.basis.shells)
         self._r_sparse = sp.diags(self.r_diag)
         self._weights = {}
 
@@ -406,9 +412,10 @@ def random_state(basis: FockBasis, seed: int, kappa: int, support_max: int,
     state is normalized to unit weighted norm.
     """
     if support_max > basis.n_max:
-        raise ValueError("support_max exceeds n_max")
+        raise ValueError(f"support_max {support_max} exceeds n_max {basis.n_max}")
     if abs(kappa) > support_max:
-        raise ValueError(f"no blocks with kappa={kappa} below shell {support_max}")
+        raise ValueError(f"no blocks with kappa={kappa} below shell {support_max} "
+                         f"(n_max {basis.n_max})")
     rng = np.random.default_rng(seed)
     packing = basis.packing(kappa)
     v = np.zeros(packing.size, dtype=complex)
@@ -425,7 +432,8 @@ def interior_projection(psi: NCState, margin: int) -> NCState:
     """Zero every block touching a shell above n_max - margin.  Idempotent."""
     n_max = psi.basis.n_max
     if not 0 <= margin <= n_max:
-        raise ValueError("margin must satisfy 0 <= margin <= n_max")
+        raise ValueError("margin must satisfy 0 <= margin <= n_max; "
+                         f"got margin {margin} with n_max {n_max}")
     cut = n_max - margin
     if psi.parts is None:
         shells = psi.basis.shells

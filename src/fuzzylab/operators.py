@@ -41,7 +41,7 @@ import scipy.sparse as sp
 
 from .fock import (EPS3, PAULI, FockBasis, NCState, WeightedInnerProduct,
                    check_same_basis, coordinate_from_ladders, enumerate_basis,
-                   interior_projection, ladder_matrix, radial_matrix,
+                   interior_projection, ladder_matrix, radial_grid,
                    random_state, validate_lambda)
 
 __all__ = ["SuperOp", "RadialFunction", "Space"]
@@ -278,7 +278,7 @@ class RadialFunction:
     def from_callable(cls, fn: Callable[[float], float], lam: float, n_max: int,
                       name: str = "") -> "RadialFunction":
         validate_lambda(lam)  # before fn sees the grid
-        r = lam * (np.arange(n_max + 1) + 1.0)
+        r = radial_grid(lam, np.arange(n_max + 1))
         return cls(values=np.asarray([fn(ri) for ri in r], dtype=float),
                    lam=lam, name=name or getattr(fn, "__name__", ""))
 
@@ -368,10 +368,10 @@ class Space:
         self.ad = [m.conj().T.tocsr() for m in self.a]
         self.x = [coordinate_from_ladders(self.a, self.ad, j, lam)
                   for j in (1, 2, 3)]
-        self.r_diag = lam * (self.basis.shells.astype(float) + 1.0)
-        self.rinv = sp.diags(1.0 / self.r_diag, format="csr", dtype=complex)
-        self.r = radial_matrix(self.basis, lam).matrix
         self.ip = WeightedInnerProduct(self.basis, lam)
+        self.r_diag = self.ip.r_diag
+        self.rinv = sp.diags(1.0 / self.r_diag, format="csr", dtype=complex)
+        self.r = sp.diags(self.r_diag, format="csr", dtype=complex)
         self._ops = {}
 
     # -- state helpers ----------------------------------------------------

@@ -39,7 +39,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import NCState
+from .fock import NCState, radial_grid
 from .operators import RadialFunction, Space, SuperOp
 
 __all__ = [
@@ -98,7 +98,7 @@ class AngularSector:
     @property
     def grid(self) -> np.ndarray:
         """Radial grid r = lam (N + 1) of the sector states."""
-        return self.lam * (self.shells + 1.0)
+        return radial_grid(self.lam, self.shells)
 
 
 def sector_shells(n_max: int, j, m, boundary: str) -> range:
@@ -159,7 +159,7 @@ def radial_hamiltonian(space: Space, j: int,
     n1, n2 = shells[:-1] + 1.0, shells[:-1] + 2.0
     off = -np.sqrt(1.0 - j * (j + 1) / (n1 * n2)) / (2.0 * lam**2)
     mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return mat, lam * (shells + 1.0)
+    return mat, radial_grid(lam, shells)
 
 
 def reduce_superop(space: Space, sector: AngularSector, op: SuperOp) -> np.ndarray:
@@ -337,12 +337,12 @@ def convergence_study(schedule: Sequence[tuple], j: int,
     records = []
     for lam, n_max in schedule:
         space = Space(n_max, lam)
-        result = solve_sector(space, j, space.sample(potential_fn, potential_name),
-                              boundary="dirichlet")
+        potential = space.sample(potential_fn, potential_name)
+        result = solve_sector(space, j, potential, boundary="dirichlet")
         sector_grid = np.asarray(result.metadata["grid"])
-        uvals = None
-        if potential_fn is not None:
-            uvals = np.asarray([potential_fn(r) for r in sector_grid])
+        # the sector's shells are j, j + 1, ...: U on them is already sampled
+        uvals = None if potential is None else \
+            potential.values[int(j):int(j) + len(sector_grid)]
         oracle = commutative_oracle(sector_grid, lam, j, uvals)
         for level in range(min(levels, len(result.eigenvalues))):
             e_nc = float(result.eigenvalues[level])

@@ -458,3 +458,21 @@ def test_cli_sector_errors_come_from_the_library_rule(capsys):
                    "needs n_max >= 10; got 8\n")
     assert main(["converge", "--j", "2", "--schedule", "0.5:7,0.25:2"]) == 2
     assert "needs n_max >= 3; got 2" in capsys.readouterr().err
+
+
+def test_cli_prove_all_transcripts_match_golden_file(tmp_path):
+    out = tmp_path / "proofs.txt"
+    assert main(["prove", "--identity", "all", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "proof_transcripts.txt"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_margin_errors_name_the_margin_and_n_max(capsys):
+    code = main(["check", "--suite", "velocity,quadratic", "--nmax", "1",
+                 "--lambda", "0.5", "--states", "1", "--format", "json"])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    errors = [r for r in payload["records"] if r["status"] == "error"]
+    assert errors
+    for r in errors:
+        assert "margin 2" in r["detail"] and "n_max 1" in r["detail"], r
