@@ -32,6 +32,10 @@ PACKAGE = Path("src") / "fuzzylab"
 TRANSCRIPTS = ("tests/test_cli.py::"
                "test_cli_prove_all_transcripts_match_golden_file")
 
+#: the test that pins the one-pass canonical forms to two-pass references
+ONE_PASS = ("tests/test_algebra.py::"
+            "test_one_pass_canonical_forms_match_the_two_pass_references")
+
 #: (name, file under src/fuzzylab, old snippet, new snippet, tests)
 MUTANTS = [
     ("skip recorded as a pass", "checks.py",
@@ -91,10 +95,19 @@ MUTANTS = [
      # charge-raising word tells the two signs apart
      [TRANSCRIPTS,
       "tests/test_algebra.py::test_kappa_reduce_shifts_right_radius_by_word_charge"]),
-    ("kappa reduction keeps zero terms", "algebra.py",
-     "terms={w: c for w, c in out.items() if c != 0}",
-     "terms=out",
+    ("the rewrite pass keeps zero terms", "algebra.py",
+     "terms={w: c for w, c in clean.items() if c != 0}",
+     "terms=clean",
      [TRANSCRIPTS]),
+    ("canonical form without cancel", "algebra.py",
+     "return sympy.cancel(sympy.together(c))",
+     "return sympy.together(c)",
+     [TRANSCRIPTS, ONE_PASS]),
+    ("kappa reduction canonicalizes before substituting", "algebra.py",
+     "_canonical_coeff(c.subs(RR, R - LAM * (db - da)) if kappa else c)",
+     "_canonical_coeff(c).subs(RR, R - LAM * (db - da)) if kappa "
+     "else _canonical_coeff(c)",
+     [ONE_PASS]),
     ("[a_b, x_j] term of the Leibniz correction sign-flipped", "identities.py",
      "+ ann_x * (aL_dag(al) - aR_dag(al))",
      "- ann_x * (aL_dag(al) - aR_dag(al))",

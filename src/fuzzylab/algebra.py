@@ -75,12 +75,6 @@ def _word_shifts(word: Tuple[Gen, ...]) -> Tuple[int, int]:
     return da, db
 
 
-def _shift_coeff(c: sympy.Expr, word: Tuple[Gen, ...]) -> sympy.Expr:
-    """Coefficient c moved from the right of ``word`` to its left."""
-    da, db = _word_shifts(word)
-    return _shifted(c, da, db) if da or db else c
-
-
 #: number relation aX+[2] aX[2] = number(s) - aX+[1] aX[1], with the number
 #: shifted past the s daggered same-family generators left of the pair
 _NUMBER = {"a": lambda s: (R - s * LAM) / LAM - 1,
@@ -129,15 +123,13 @@ def _canonical_coeff(c: sympy.Expr) -> sympy.Expr:
 
     The generators ``r``, ``r_R``, ``lam`` and the ``U(...)`` atoms are
     algebraically independent, so the result is 0 exactly when ``c`` is.
+    ``cancel`` expands numerator and denominator itself, and every ``U``
+    argument is a flat ``r + k lam`` built by ``subs``: no ``expand`` first.
     """
-    c = sympy.expand(c)
-    if c == 0:
-        return sympy.S.Zero
     try:
-        c = sympy.cancel(sympy.together(c))
+        return sympy.cancel(sympy.together(c))
     except sympy.PolynomialError:
-        c = sympy.simplify(c)
-    return c
+        return sympy.simplify(c)
 
 
 @dataclass
@@ -181,8 +173,10 @@ class AlgebraExpr:
             return AlgebraExpr(terms={w: cc * c for w, cc in self.terms.items()})
         out = AlgebraExpr()
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out._accumulate(w1 + w2, c1 * _shift_coeff(c2, w1))
+            da, db = _word_shifts(w1)
+            for w2, c2 in other.terms.items():  # c2 moves left through w1
+                c2 = _shifted(c2, da, db) if da or db else c2
+                out._accumulate(w1 + w2, c1 * c2)
         return out
 
     def __rmul__(self, other) -> "AlgebraExpr":
@@ -197,43 +191,41 @@ class AlgebraExpr:
 
     # -- normal ordering ----------------------------------------------------
 
-    def normal(self) -> "AlgebraExpr":
-        """Canonical form: per family daggered-left, modes ascending, left
-        family before right family, diagonal mode-2 pairs eliminated, like
-        terms merged with canonical rational coefficients; a term survives
-        iff its canonical coefficient is not the zero expression.  Each word
-        is rewritten once (memoized ``_normal_word``) and each term's
-        coefficient is multiplied by its factors in rewrite order."""
-        if self.is_normal:
-            return self
+    def _reduced(self, kappa: bool) -> "AlgebraExpr":
+        """One pass: each word rewritten (memoized ``_normal_word``), each term's
+        coefficient multiplied by its factors in rewrite order, like words summed,
+        r_R = r - lam * s substituted if ``kappa`` (s the word's charge shift),
+        each coefficient canonicalized once and the zero ones dropped."""
         out = AlgebraExpr()
         for w, c in self.terms.items():
             for factors, v in _normal_word(w):
                 out._accumulate(v, functools.reduce(operator.mul, factors, c))
-        clean = {w: _canonical_coeff(c) for w, c in out.terms.items()}
+        clean = {}
+        for w, c in out.terms.items():
+            da, db = _word_shifts(w)
+            clean[w] = _canonical_coeff(c.subs(RR, R - LAM * (db - da)) if kappa else c)
         return AlgebraExpr(terms={w: c for w, c in clean.items() if c != 0},
                            is_normal=True)
+
+    def normal(self) -> "AlgebraExpr":
+        """Canonical form: per family daggered-left, modes ascending, left
+        family before right family, diagonal mode-2 pairs eliminated, like
+        terms merged with canonical rational coefficients."""
+        return self if self.is_normal else self._reduced(kappa=False)
 
     # -- charge bookkeeping --------------------------------------------------
 
     def kappa_reduce(self, allow_mixed: bool = False) -> "AlgebraExpr":
         """Identify the right radius with the left one, as valid on charge-zero
         states: a normal-ordered term with word charge shift s (creation minus
-        annihilation count) satisfies r_R = r - lam * s there.  The words stay
-        normal, so only the substituted coefficients are canonicalized again.
-        Mixed-shift expressions are refused unless explicitly annotated with
-        ``allow_mixed``."""
-        nf = self.normal()
-        shifts = {db - da for da, db in map(_word_shifts, nf.terms)}
+        annihilation count) satisfies r_R = r - lam * s there.  A result with
+        mixed shifts is refused unless annotated with ``allow_mixed``."""
+        out = self._reduced(kappa=True)
+        shifts = {db - da for da, db in map(_word_shifts, out.terms)}
         if len(shifts) > 1 and not allow_mixed:
             raise ValueError(f"mixed charge shifts {sorted(shifts)}; "
                              "pass allow_mixed=True to reduce sector-wise")
-        out = {}
-        for w, c in nf.terms.items():
-            da, db = _word_shifts(w)
-            out[w] = _canonical_coeff(c.subs(RR, R - LAM * (db - da)))
-        return AlgebraExpr(terms={w: c for w, c in out.items() if c != 0},
-                           is_normal=True)
+        return out
 
     # -- inspection -----------------------------------------------------------
 

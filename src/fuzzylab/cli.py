@@ -99,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated NC length scales")
     p_spec.add_argument("--nmax", type=str, default="19",
                         help="comma-separated truncation cutoffs")
-    p_spec.add_argument("--out", type=str, default=None)
+    p_spec.add_argument("--out", type=str, default=None,
+                        help="file prefix; with several lambdas also writes "
+                             "an oracle table that uses the Dirichlet wall")
     p_spec.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
     p_spec.add_argument("--potential", type=str, default="free")
     p_spec.add_argument("--q", type=float, default=1.0)
@@ -191,12 +193,15 @@ def _cmd_spectrum(args) -> int:
             n_maxes = n_maxes * len(lams)
         if len(n_maxes) != len(lams):
             raise ValueError("--nmax needs one value, or one per --lambda entry")
-        j = _check_points(zip(lams, n_maxes), args.j, args.boundary)[0].start
+        points = list(zip(lams, n_maxes))
+        j = _check_points(points, args.j, args.boundary)[0].start
+        if args.out and len(lams) > 1:  # the table uses the Dirichlet wall
+            _check_points(points, args.j)
         fn = potential_fn(args.potential, args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for lam, n_max in zip(lams, n_maxes):
+    for lam, n_max in points:
         space = Space(n_max, lam)
         result = spc.solve_sector(space, j, space.sample(fn, args.potential),
                                   boundary=args.boundary)
@@ -219,8 +224,7 @@ def _cmd_spectrum(args) -> int:
         _emit(text, args.out and f"{args.out}.lam{lam}.j{j}.{args.fmt}")
     if args.out and len(lams) > 1:
         # a schedule was given: emit the oracle-comparison table alongside
-        records = spc.convergence_study(list(zip(lams, n_maxes)), j, fn,
-                                        args.potential)
+        records = spc.convergence_study(points, j, fn, args.potential)
         _emit("\n".join(_convergence_csv(records)) + "\n",
               f"{args.out}.convergence.csv")
     return 0

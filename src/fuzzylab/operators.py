@@ -262,8 +262,10 @@ class RadialFunction:
     """Values of a radial function on the shells r_n = lam (n + 1).
 
     ``boundary_flags`` marks shells whose value came from the constant
-    extension used by the lambda-derivative at the edges of the grid; such
-    shells never enter interior-margin checks.
+    extension used by the lambda-derivative at the edges of the grid.
+    Nothing reads the flags: the acceleration checks' state margin of at
+    least 2 (``floor=2``) keeps shell n_max out of their residuals, and at
+    shell 0 the extension stands for shell -1, whose terms cancel.
     """
 
     values: np.ndarray

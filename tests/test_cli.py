@@ -476,3 +476,19 @@ def test_margin_errors_name_the_margin_and_n_max(capsys):
     assert errors
     for r in errors:
         assert "margin 2" in r["detail"] and "n_max 1" in r["detail"], r
+
+
+def test_cli_spectrum_schedule_checks_the_dirichlet_table_before_writing(
+        tmp_path, capsys):
+    # the hard wall holds j = 1 at n_max 1; the convergence table's
+    # Dirichlet wall does not, so nothing may be written
+    out = tmp_path / "s"
+    assert main(["spectrum", "--boundary", "hard", "--j", "1", "--lambda",
+                 "0.5,0.4", "--nmax", "1,1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: n_max too small: j=1 with the dirichlet "
+                            "boundary needs n_max >= 2; got 1\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    # one lambda writes no table, so the hard-wall sector alone decides
+    assert main(["spectrum", "--boundary", "hard", "--j", "1", "--lambda",
+                 "0.5", "--nmax", "1", "--out", str(out)]) == 0
