@@ -72,10 +72,22 @@ MUTANTS = [
      "(a.name, a.lam, a.values.tobytes()) if isinstance(a, RadialFunction)",
      "a.name if isinstance(a, RadialFunction)",
      ["tests/test_operators.py::test_space_operators_are_memoized"]),
-    ("right-leaf column offset off by one", "operators.py",
+    ("right-leaf column offset off by one", "fock.py",
      "src.offset[row] + i - first[i]",
      "src.offset[row] + i - first[i] + 1",
      ["tests/test_operators.py::test_compiled_path_matches_tree_walk"]),
+    ("inner-product weights read the column", "fock.py",
+     "self.r_diag[self.basis.packing(kappa).rows]",
+     "self.r_diag[self.basis.packing(kappa).cols]",
+     ["tests/test_packed_states.py::test_inner_product_matches_dense_formula"]),
+    ("grid coefficient takes (column, row)", "operators.py",
+     "coefficient(packing.rows, packing.cols)",
+     "coefficient(packing.cols, packing.rows)",
+     ["tests/test_operators.py::test_compiled_path_matches_tree_walk"]),
+    ("shell start N(N - 1)/2", "fock.py",
+     "return n * (n + 1) // 2",
+     "return n * (n - 1) // 2",
+     ["tests/test_fock.py::test_basis_is_bijective_and_shell_ordered"]),
     ("grid pole rows dropped", "operators.py",
      "checks += (mat[hit],)",
      "checks += ()",

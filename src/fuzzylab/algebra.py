@@ -41,6 +41,8 @@ import numpy as np
 import sympy
 from sympy import I as sI
 
+from .operators import SuperOp
+
 __all__ = [
     "R", "RR", "LAM", "UFUN",
     "Gen", "AlgebraExpr",
@@ -353,8 +355,6 @@ def to_superop(e: AlgebraExpr, space, potential: Optional[Callable[[float], floa
     at unoccupied shells are harmless.  A pole multiplying a nonzero entry
     raises.  ``potential`` substitutes a concrete callable for ``U``.
     """
-    from .operators import SuperOp  # local import to avoid a cycle
-
     lam = space.lam
     rvals = space.r_diag
     nf = e.normal()

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import EPS3, NCState, radial_grid, validate_lambda
 from .operators import RadialFunction, Space, SuperOp
@@ -278,18 +277,15 @@ def _run_coordinate_algebra(space: Space, config: CheckConfig):
 
 
 def _run_x_square(space: Space, config: CheckConfig):
-    lam = space.lam
     acc = functools.reduce(operator.add, (xi @ xi for xi in space.x))
     rsq = space.r @ space.r
-    eye = sp.identity(space.basis.dim, dtype=complex, format="csr")
-    return abs(acc - rsq + lam**2 * eye).max(), ""
+    eye = space.identity_state().matrix
+    return abs(acc - rsq + space.lam**2 * eye).max(), ""
 
 
 def _run_ladder_algebra(space: Space, config: CheckConfig):
-    shells = space.basis.shells
-    keep = np.asarray(shells <= space.n_max - 1, dtype=float)
-    proj = sp.diags(keep, format="csr", dtype=complex)
-    eye = sp.identity(space.basis.dim, dtype=complex, format="csr")
+    proj = space.shell_diagonal(np.arange(space.n_max + 1) <= space.n_max - 1)
+    eye = space.identity_state().matrix
     worst = 0.0
     for al in range(2):
         for be in range(2):

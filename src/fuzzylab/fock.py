@@ -17,8 +17,12 @@ state products (shell block by shell block) work on those vectors, and the
 dim x dim array is only a read-only view.  Sparse states (sector states, x_j,
 f(r)) keep their scipy matrix and its products.
 
-The lambda rule (finite, > 0) and the basis rule (what meets shares one
-n_max) live here only: :func:`validate_lambda`, :func:`check_same_basis`.
+The storage rules live here only: the shell start (:func:`shell_start`), the
+packed layout with the row and column of every entry (:class:`Packing`) and
+the packed maps of matrix products (:meth:`FockBasis.leaf_map`).  So do the
+lambda rule (finite, > 0) and the basis rule (what meets shares one n_max):
+:func:`validate_lambda`, :func:`check_same_basis`.  Scipy is imported here
+and in ``operators`` only.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "WeightedInnerProduct",
     "validate_lambda",
     "radial_grid",
+    "shell_start",
     "check_same_basis",
     "enumerate_basis",
     "ladder_matrix",
@@ -78,6 +83,11 @@ def radial_grid(lam: float, shells) -> np.ndarray:
     return lam * (np.asarray(shells, dtype=float) + 1.0)
 
 
+def shell_start(n):
+    """The index of the first state of shell n (an int or an int array)."""
+    return n * (n + 1) // 2
+
+
 def check_same_basis(*items) -> None:
     """Raise ValueError unless the given states, operators and inner
     products (anything with a ``basis``) all live on bases of one n_max."""
@@ -94,13 +104,15 @@ class Packing:
     A charge-kappa state only occupies entries (i, k) with
     shell(i) - shell(k) = kappa.  Packed in row-major order, the entries of
     row i are the whole right shell shell(i) - kappa, so entry (i, k) sits at
-    ``offset[i] + k - start(shell(k))``; ``flat`` holds ``i * dim + k`` of
-    every packed entry, for gathering from and scattering into dense states.
-    The rows of shell n fill ``bounds[n]:bounds[n + 1]``, which is the block
+    ``offset[i] + k - shell_start(shell(k))``.  ``rows``, ``cols`` and
+    ``flat`` hold i, k and i * dim + k of every packed entry.  The rows of
+    shell n fill ``bounds[n]:bounds[n + 1]``, which is the block
     (n, n - kappa) in row-major order.
     """
 
     offset: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     flat: np.ndarray
     bounds: np.ndarray
 
@@ -134,8 +146,7 @@ class FockBasis:
 
     def shell_slice(self, n: int) -> slice:
         """Contiguous index range of the shell N = n."""
-        start = n * (n + 1) // 2
-        return slice(start, start + n + 1)
+        return slice(shell_start(n), shell_start(n + 1))
 
     def packing(self, kappa: int) -> Packing:
         """The (cached) packed layout of the charge-kappa entries."""
@@ -145,13 +156,49 @@ class FockBasis:
             length = np.where((right >= 0) & (right <= self.n_max), right + 1, 0)
             offset = np.cumsum(length) - length
             rows = np.repeat(np.arange(self.dim), length)
-            within = np.arange(len(rows)) - offset[rows]
-            first = right[rows] * (right[rows] + 1) // 2
-            starts = np.arange(self.n_max + 2) * np.arange(1, self.n_max + 3) // 2
+            cols = shell_start(right[rows]) + np.arange(len(rows)) - offset[rows]
+            starts = shell_start(np.arange(self.n_max + 2))
             bounds = np.append(offset, len(rows))[starts]
-            got = Packing(offset, rows * self.dim + first + within, bounds)
+            got = Packing(offset, rows, cols, rows * self.dim + cols, bounds)
             self._packings[kappa] = got
         return got
+
+    def leaf_map(self, matrix, kappa: int, left: bool):
+        """(k, map) of psi -> M psi (``left``) or psi -> psi M on packed charge
+        kappa, where k = kappa + s for the one shell shift s of M's entries.
+
+        Built from shell arithmetic: left multiplication by the entry M[i, j]
+        moves row j of the state to row i along the whole right shell
+        shell(j) - kappa; right multiplication by M[i, j] moves column i to
+        column j down the whole left shell shell(i) + kappa.
+        """
+        matrix = matrix.tocsr()
+        shells, n_max = self.shells, self.n_max
+        first = shell_start(shells)  # start index of each entry's shell
+        i = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        j, v = matrix.indices, matrix.data
+        shifts = np.unique(shells[i] - shells[j])
+        if len(shifts) > 1:
+            raise ValueError(f"leaf matrix mixes charge shifts {shifts.tolist()}")
+        k = kappa + int(shifts.sum())  # an empty matrix keeps the charge
+        src, dst = self.packing(kappa), self.packing(k)
+        span = shells[j] - kappa if left else shells[i] + kappa
+        ok = (span >= 0) & (span <= n_max)
+        i, j, v, span = i[ok], j[ok], v[ok], span[ok]
+        count = span + 1
+        entry = np.repeat(np.arange(len(v)), count)
+        t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        i, j, v = i[entry], j[entry], v[entry]
+        if left:
+            out, col = dst.offset[i] + t, src.offset[j] + t
+        else:
+            row = shell_start(span[entry]) + t
+            out, col = dst.offset[row] + j - first[j], src.offset[row] + i - first[i]
+        order = np.lexsort((col, out))
+        indptr = np.zeros(dst.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(out, minlength=dst.size), out=indptr[1:])
+        return k, sp.csr_matrix((v[order], col[order], indptr),
+                                shape=(dst.size, src.size))
 
     def charges(self, matrix: np.ndarray) -> np.ndarray:
         """Charges shell(i) - shell(k) of the nonzero entries of a dense
@@ -191,13 +238,13 @@ def ladder_matrix(basis: FockBasis, mode: int, dagger: bool = False) -> FockMatr
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     shells = basis.shells
-    n2 = np.arange(basis.dim) - shells * (shells + 1) // 2
+    n2 = np.arange(basis.dim) - shell_start(shells)
     occ = n2 if mode == 2 else shells - n2
     cols = np.flatnonzero(occ > 0)
     # the target keeps its position within the shell below for mode 1 and
     # moves one place left for mode 2
     below = shells[cols] - 1
-    rows = below * (below + 1) // 2 + n2[cols] - (mode == 2)
+    rows = shell_start(below) + n2[cols] - (mode == 2)
     vals = np.sqrt(occ[cols].astype(float)).astype(complex)
     m = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
     if dagger:
@@ -254,6 +301,12 @@ class NCState:
             flat = np.asarray(matrix, dtype=complex).reshape(-1)
             self.parts = {int(k): flat[basis.packing(k).flat]
                           for k in basis.charges(matrix)}
+
+    @classmethod
+    def from_entries(cls, basis: FockBasis, rows, cols, values) -> "NCState":
+        """The sparse state with entries ``values`` at (rows, cols)."""
+        return cls(basis, sp.csr_matrix((np.asarray(values, dtype=complex),
+                                         (rows, cols)), shape=(basis.dim, basis.dim)))
 
     @property
     def matrix(self):
@@ -363,23 +416,20 @@ class WeightedInnerProduct:
         self._r_sparse = sp.diags(self.r_diag)
         self._weights = {}
 
-    def _weights_of(self, kappa: int) -> np.ndarray:
+    def weights(self, kappa: int) -> np.ndarray:
         """r of the row of every packed charge-kappa entry (cached)."""
         if kappa not in self._weights:
-            flat = self.basis.packing(kappa).flat
-            self._weights[kappa] = self.r_diag[flat // self.basis.dim]
+            self._weights[kappa] = self.r_diag[self.basis.packing(kappa).rows]
         return self._weights[kappa]
 
     def __call__(self, phi: NCState, psi: NCState) -> complex:
         check_same_basis(self, phi, psi)
         if phi.parts is None or psi.parts is None:
-            a = sp.csr_matrix(phi.matrix)
-            b = sp.csr_matrix(psi.matrix)
-            prod = a.conj().multiply(self._r_sparse @ b)
-            tr = prod.sum()
+            a, b = sp.csr_matrix(phi.matrix), sp.csr_matrix(psi.matrix)
+            tr = a.conj().multiply(self._r_sparse @ b).sum()
         else:
             a, b = phi.parts, psi.parts
-            tr = sum(np.vdot(a[k], self._weights_of(k) * b[k])
+            tr = sum(np.vdot(a[k], self.weights(k) * b[k])
                      for k in sorted(a.keys() & b.keys()))
         return complex(4.0 * np.pi * self.lam**2 * tr)
 

@@ -21,9 +21,11 @@ scipy products.  Each operator has one charge shift s: it takes charge kappa
 to kappa + s (s = +-1 for a ladder leaf, 0 for the operators of the paper).
 A packed state is applied charge by charge: the tree is compiled once per
 input charge into one sparse matrix from the packed charge-kappa vector to
-the packed charge-(kappa + s) vector (see :meth:`FockBasis.packing`), so an
-application is one matvec per charge the state holds.  A sum of operators
-with different shifts applies to sparse states only.
+the packed charge-(kappa + s) vector, so an application is one matvec per
+charge the state holds.  The packed layout and the leaf maps belong to
+``fock`` (:meth:`FockBasis.packing`, :meth:`FockBasis.leaf_map`); this
+module does no index arithmetic.  A sum of operators with different shifts
+applies to sparse states only.
 
 A central potential is a RadialFunction sampled on a Space's own grid
 (``Space.sample``); a Space rejects one sampled on another grid.
@@ -187,7 +189,7 @@ class SuperOp:
     def _build(self, kappa: int):
         kind, args, basis = self.kind, self.args, self.basis
         if kind in ("left", "right"):
-            k, mat = _leaf_map(basis, args[0], kappa, kind == "left")
+            k, mat = basis.leaf_map(args[0], kappa, kind == "left")
             return k, mat, ()
         if kind == "id":
             size = basis.packing(kappa).size
@@ -210,51 +212,13 @@ class SuperOp:
             return k, m2 @ m1, checks + tuple((c @ m1).tocsr() for c in more)
         coefficient, op = args
         k, mat, checks = op._compile(kappa, False)
-        flat = basis.packing(k).flat
-        grid = coefficient(flat // basis.dim, flat % basis.dim)
+        packing = basis.packing(k)
+        grid = coefficient(packing.rows, packing.cols)
         finite = np.isfinite(grid)
         hit = ~finite & (np.diff(mat.indptr) > 0)
         if hit.any():
             checks += (mat[hit],)
         return k, (sp.diags(np.where(finite, grid, 0.0)) @ mat).tocsr(), checks
-
-
-def _leaf_map(basis: FockBasis, matrix, kappa: int, left: bool):
-    """(k, map) of psi -> M psi (``left``) or psi -> psi M on packed charge
-    kappa, where k = kappa + s for the one shell shift s of M's entries.
-
-    Built from shell arithmetic: left multiplication by the entry M[i, j]
-    moves row j of the state to row i along the whole right shell
-    shell(j) - kappa; right multiplication by M[i, j] moves column i to
-    column j down the whole left shell shell(i) + kappa.
-    """
-    matrix = matrix.tocsr()
-    shells, n_max = basis.shells, basis.n_max
-    first = shells * (shells + 1) // 2  # start index of each entry's shell
-    i = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    j, v = matrix.indices, matrix.data
-    shifts = np.unique(shells[i] - shells[j])
-    if len(shifts) > 1:
-        raise ValueError(f"leaf matrix mixes charge shifts {shifts.tolist()}")
-    k = kappa + int(shifts.sum())  # an empty matrix keeps the charge
-    src, dst = basis.packing(kappa), basis.packing(k)
-    span = shells[j] - kappa if left else shells[i] + kappa
-    ok = (span >= 0) & (span <= n_max)
-    i, j, v, span = i[ok], j[ok], v[ok], span[ok]
-    count = span + 1
-    entry = np.repeat(np.arange(len(v)), count)
-    t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    i, j, v = i[entry], j[entry], v[entry]
-    if left:
-        out, col = dst.offset[i] + t, src.offset[j] + t
-    else:
-        row = span[entry] * (span[entry] + 1) // 2 + t
-        out, col = dst.offset[row] + j - first[j], src.offset[row] + i - first[i]
-    order = np.lexsort((col, out))
-    indptr = np.zeros(dst.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(out, minlength=dst.size), out=indptr[1:])
-    return k, sp.csr_matrix((v[order], col[order], indptr),
-                            shape=(dst.size, src.size))
 
 
 @dataclass

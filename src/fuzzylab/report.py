@@ -9,6 +9,7 @@ import math
 import platform
 import sys
 from dataclasses import asdict, dataclass, field
+from importlib import metadata
 from typing import List, Optional
 
 __all__ = ["CheckRecord", "VerificationReport", "emit_report",
@@ -23,23 +24,16 @@ SCHEMA_VERSION = 2
 
 
 def environment_fingerprint() -> dict:
-    """Build identifiers that pin a report to its numeric environment."""
-    import numpy
-    import scipy
+    """Build identifiers that pin a report to its numeric environment.
+
+    numpy, scipy and sympy report the loaded module's ``__version__``, else
+    the installed package metadata, so a report imports none of them."""
     from . import __version__
-    sympy = sys.modules.get("sympy")
-    if sympy is not None:
-        sympy_version = sympy.__version__
-    else:  # a numeric run: read the version without importing sympy
-        from importlib.metadata import version
-        sympy_version = version("sympy")
-    return {
-        "fuzzylab": __version__,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "sympy": sympy_version,
-    }
+    env = {"fuzzylab": __version__, "python": platform.python_version()}
+    for name in ("numpy", "scipy", "sympy"):
+        module = sys.modules.get(name)
+        env[name] = metadata.version(name) if module is None else module.__version__
+    return env
 
 #: column order of the CSV emitter (documented in the CLI help)
 CSV_COLUMNS = ["check_id", "suite", "kind", "statement", "params",

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import NCState, radial_grid
 from .operators import RadialFunction, Space, SuperOp
@@ -75,9 +74,7 @@ def shell_state(space: Space, j: int, m: int, n: int) -> NCState:
                 rows.append(basis.index[(p1, p2)])
                 cols.append(basis.index[(q1, q2)])
                 vals.append(pref * amp)
-    mat = sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
-                        shape=(basis.dim, basis.dim))
-    return NCState(basis, mat)
+    return NCState.from_entries(basis, rows, cols, vals)
 
 
 @dataclass
@@ -276,11 +273,10 @@ def full_kappa0_spectrum(space: Space,
     symmetrized by the weighted norm.  Dimension grows like n_max^3 / 3;
     intended for small spaces.
     """
-    basis = space.basis
-    if basis.n_max > 8:
+    if space.n_max > 8:
         raise ValueError("brute-force solve is meant for n_max <= 8")
     big = space.hamiltonian(potential).packed_matrix(0).toarray()
-    weights = np.sqrt(space.r_diag[basis.packing(0).flat // basis.dim])
+    weights = np.sqrt(space.ip.weights(0))
     symm = (weights[:, None] * big) / weights[None, :]
     symm = 0.5 * (symm + symm.conj().T)
     return np.linalg.eigvalsh(symm)

@@ -72,3 +72,20 @@ def test_unknown_attribute_raises_attribute_error():
         "except AttributeError as exc:\n"
         "    print(exc)\n")
     assert "no_such_name" in out
+
+
+def test_only_fock_and_operators_import_scipy():
+    import ast
+    package = Path(fuzzylab.__file__).resolve().parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers <= {"fock.py", "operators.py"}, sorted(importers)

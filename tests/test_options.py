@@ -147,3 +147,25 @@ def test_check_runs_fixed_margin_equal_to_the_cutoff(capsys):
                  "--margin", "fixed:12", "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "margin 12," in out and "ERROR" not in out
+
+
+def test_each_layer_rejects_its_own_bad_input_with_its_message(monkeypatch,
+                                                               capsys):
+    from fuzzylab.fock import (coordinate_matrix, enumerate_basis,
+                               ladder_matrix, state_from_text)
+    from fuzzylab.operators import Space
+    from fuzzylab.spectra import shell_state
+    _no_check_may_run(monkeypatch)
+    assert main(["check", "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    basis, space = enumerate_basis(3), Space(3, 0.5)
+    for call, message in [
+            (lambda: enumerate_basis(-1), "n_max must be >= 0"),
+            (lambda: ladder_matrix(basis, 3), "mode must be 1 or 2"),
+            (lambda: coordinate_matrix(basis, 4, 0.5), "j must be 1, 2 or 3"),
+            (lambda: state_from_text("junk"), "not a fuzzylab ncstate v1"),
+            (lambda: shell_state(space, 1, 0, 3), "outside the truncated space"),
+            (lambda: space.ladder("L", 1, False).packed_matrix(0),
+             "is not one matrix on charge 0")]:
+        with pytest.raises(ValueError, match=message):
+            call()
