@@ -36,6 +36,9 @@ TRANSCRIPTS = ("tests/test_cli.py::"
 ONE_PASS = ("tests/test_algebra.py::"
             "test_one_pass_canonical_forms_match_the_two_pass_references")
 
+#: the test that pins the coefficient reader to ``cancel(together(c))``
+ROUTING = "tests/test_algebra.py::test_canonical_coeff_is_cancel_of_together"
+
 #: (name, file under src/fuzzylab, old snippet, new snippet, tests)
 MUTANTS = [
     ("skip recorded as a pass", "checks.py",
@@ -112,12 +115,20 @@ MUTANTS = [
      "terms=clean",
      [TRANSCRIPTS]),
     ("canonical form without cancel", "algebra.py",
-     "return sympy.cancel(sympy.together(c))",
-     "return sympy.together(c)",
+     "p, q = num.cancel(math.prod(",
+     "p, q = num, (math.prod(",
      [TRANSCRIPTS, ONE_PASS]),
+    ("sum term not brought to the common denominator", "algebra.py",
+     "sum((math.prod((f**(k - d.get(f, 0)) for f, k in den.items()), start=n)",
+     "sum((n",
+     [TRANSCRIPTS, ONE_PASS, ROUTING]),
+    ("coefficient reader lets every number in", "algebra.py",
+     "e.is_Rational or e is sI",
+     "e.is_number",
+     [ROUTING]),
     ("kappa reduction canonicalizes before substituting", "algebra.py",
-     "_canonical_coeff(c.subs(RR, R - LAM * (db - da)) if kappa else c)",
-     "_canonical_coeff(c).subs(RR, R - LAM * (db - da)) if kappa "
+     "_canonical_coeff(c.xreplace({RR: R - LAM * (db - da)}) if kappa else c)",
+     "_canonical_coeff(c).xreplace({RR: R - LAM * (db - da)}) if kappa "
      "else _canonical_coeff(c)",
      [ONE_PASS]),
     ("[a_b, x_j] term of the Leibniz correction sign-flipped", "identities.py",

@@ -32,6 +32,7 @@ On charge-zero states the left and right radii agree block-wise;
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -39,7 +40,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import sympy
-from sympy import I as sI
+from sympy import QQ_I, I as sI
+from sympy.core.function import AppliedUndef
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 from .operators import SuperOp
 
@@ -116,22 +120,52 @@ def _normal_word(w: Tuple[Gen, ...]):
 # proofs meet the same few dozen coefficients hundreds of times.
 @functools.lru_cache(maxsize=None)
 def _shifted(c: sympy.Expr, da: int, db: int) -> sympy.Expr:
-    return c.subs({R: R + LAM * da, RR: RR + LAM * db}, simultaneous=True)
+    return c.xreplace({R: R + LAM * da, RR: RR + LAM * db})
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction(e: sympy.Expr, ring: PolyRing):
+    """``e`` as (numerator, {denominator factor: power}) over ``ring``: a sum
+    goes over the lcm of its factor powers, a product adds them, an integer
+    power raises them.  Raises ValueError on what the ring cannot hold."""
+    if e in ring.symbols or e.is_Rational or e is sI:
+        return ring.from_expr(e), {}
+    if e.is_Add or e.is_Mul:
+        parts = [_fraction(a, ring) for a in e.args]
+        den = {f: (sum if e.is_Mul else max)(d.get(f, 0) for _n, d in parts)
+               for _n, d in parts for f in d}
+        if e.is_Mul:
+            return math.prod(n for n, _d in parts), den
+        return sum((math.prod((f**(k - d.get(f, 0)) for f, k in den.items()), start=n)
+                    for n, d in parts), ring.zero), den
+    if e.is_Pow and e.exp.is_Integer:
+        (n, d), k = _fraction(e.base, ring), int(e.exp)
+        if k >= 0:
+            return n**k, {f: j * k for f, j in d.items()}
+        if not d:
+            return ring.one, {n: -k}
+    raise ValueError(f"not a fraction over QQ_I: {e}")
 
 
 @functools.lru_cache(maxsize=None)
 def _canonical_coeff(c: sympy.Expr) -> sympy.Expr:
-    """Reduced fraction of expanded polynomials over the Gaussian rationals.
-
-    The generators ``r``, ``r_R``, ``lam`` and the ``U(...)`` atoms are
-    algebraically independent, so the result is 0 exactly when ``c`` is.
-    ``cancel`` expands numerator and denominator itself, and every ``U``
-    argument is a flat ``r + k lam`` built by ``subs``: no ``expand`` first.
-    """
+    """``sympy.cancel(sympy.together(c))``: ``c`` read into QQ_I[gens] (its
+    symbols and expanded ``U(...)`` atoms, in ``sring``'s order) by
+    ``_fraction`` and reduced by ``PolyElement.cancel``, where ``sympy.cancel``
+    ends.  The gens are algebraically independent, so the result is 0 exactly
+    when ``c`` is.  What the reader refuses (floats, other numbers, other
+    functions, non-integer powers) takes the ``cancel(together(c))`` path."""
+    gens = c.free_symbols | {u.expand() for u in c.atoms(AppliedUndef)}
+    ring = PolyRing(_sort_gens(gens), QQ_I)
     try:
-        return sympy.cancel(sympy.together(c))
-    except sympy.PolynomialError:
-        return sympy.simplify(c)
+        num, den = _fraction(c, ring)
+    except ValueError:
+        try:
+            return sympy.cancel(sympy.together(c))
+        except sympy.PolynomialError:
+            return sympy.simplify(c)
+    p, q = num.cancel(math.prod((f**k for f, k in den.items()), start=ring.one))
+    return p.as_expr() / q.as_expr()
 
 
 @dataclass
@@ -205,7 +239,7 @@ class AlgebraExpr:
         clean = {}
         for w, c in out.terms.items():
             da, db = _word_shifts(w)
-            clean[w] = _canonical_coeff(c.subs(RR, R - LAM * (db - da)) if kappa else c)
+            clean[w] = _canonical_coeff(c.xreplace({RR: R - LAM * (db - da)}) if kappa else c)
         return AlgebraExpr(terms={w: c for w, c in clean.items() if c != 0},
                            is_normal=True)
 

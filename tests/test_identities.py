@@ -118,3 +118,12 @@ def test_casimir_is_inverse_length_squared():
     c2 = v2 + v4 * v4
     resid = (c2 - coeff(1 / LAM**2) * one()).kappa_reduce()
     assert resid.terms == {}
+
+
+def test_transcripts_from_cold_coefficient_caches_match_golden_file():
+    # the coefficient reader is memoized per sub-expression as well, so a
+    # fresh proof must clear it too to read nothing from an earlier one
+    for cache in (algebra._canonical_coeff, algebra._shifted, algebra._fraction):
+        cache.cache_clear()
+    fresh = [idn._PROVERS[name]().transcript() for name in idn.IDENTITY_NAMES]
+    assert "\n".join(fresh) == (DATA / "proof_transcripts.txt").read_text()
