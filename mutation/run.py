@@ -75,9 +75,13 @@ MUTANTS = [
      "(a.name, a.lam, a.values.tobytes()) if isinstance(a, RadialFunction)",
      "a.name if isinstance(a, RadialFunction)",
      ["tests/test_operators.py::test_space_operators_are_memoized"]),
-    ("right-leaf column offset off by one", "fock.py",
-     "src.offset[row] + i - first[i]",
-     "src.offset[row] + i - first[i] + 1",
+    ("leaf-map column offset off by one", "fock.py",
+     "out = dst.offset[row] + col - shell_start(shells[col])",
+     "out = dst.offset[row] + col - shell_start(shells[col]) + 1",
+     ["tests/test_operators.py::test_compiled_path_matches_tree_walk"]),
+    ("right-side shift sign dropped", "fock.py",
+     "* (1 if left else -1)",
+     "* 1",
      ["tests/test_operators.py::test_compiled_path_matches_tree_walk"]),
     ("inner-product weights read the column", "fock.py",
      "self.r_diag[self.basis.packing(kappa).rows]",

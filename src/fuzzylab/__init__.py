@@ -6,7 +6,7 @@ the weighted norm 4 pi lam^2 Tr[psi+ r psi].  The package provides
 
 * :mod:`fuzzylab.fock` -- the truncated arena, coordinates, states, norms;
 * :mod:`fuzzylab.operators` -- angular momentum, position, velocity, the
-  deformed Laplacian, the modified Leibniz correction, acceleration, and the
+  free Hamiltonian, the modified Leibniz correction, acceleration, and the
   E(4) invariants as superoperators with declared shell bandwidths;
 * :mod:`fuzzylab.algebra` / :mod:`fuzzylab.identities` -- an exact
   normal-ordering rewriting engine on sympy, loaded on first use, that
@@ -22,9 +22,9 @@ the weighted norm 4 pi lam^2 Tr[psi+ r psi].  The package provides
 __version__ = "0.1.0"
 
 from .fock import (FockBasis, FockMatrix, NCState, WeightedInnerProduct,
-                   coordinate_matrix, enumerate_basis, inner_product,
-                   interior_projection, ladder_matrix, radial_matrix,
-                   random_state, state_from_text, state_to_text)
+                   coordinate_matrix, enumerate_basis, interior_projection,
+                   ladder_matrix, radial_matrix, random_state,
+                   state_from_text, state_to_text)
 from .operators import RadialFunction, Space, SuperOp
 from .spectra import (AngularSector, SpectrumResult,
                       build_sector, commutative_oracle, convergence_study,
@@ -38,11 +38,10 @@ __all__ = [
     "__version__",
     "FockBasis", "FockMatrix", "NCState", "WeightedInnerProduct",
     "enumerate_basis", "ladder_matrix", "coordinate_matrix", "radial_matrix",
-    "inner_product", "random_state", "interior_projection",
-    "state_to_text", "state_from_text",
+    "random_state", "interior_projection", "state_to_text", "state_from_text",
     "RadialFunction", "Space", "SuperOp",
     "AlgebraExpr", "aL", "aL_dag", "aR", "aR_dag", "coeff", "one",
-    "normal_order", "commutator_symbolic", "expr_to_text", "expr_from_text",
+    "expr_to_text", "expr_from_text",
     "to_superop", "IDENTITY_NAMES", "check_identity", "cross_validate",
     "AngularSector", "SpectrumResult", "build_sector",
     "shell_state", "reduce_hamiltonian", "reduce_superop", "eigen_solve",
@@ -56,8 +55,7 @@ __all__ = [
 #: loads sympy (PEP 562)
 _LAZY = {
     **dict.fromkeys(("AlgebraExpr", "aL", "aL_dag", "aR", "aR_dag", "coeff",
-                     "one", "normal_order", "commutator_symbolic",
-                     "expr_to_text", "expr_from_text", "to_superop"),
+                     "one", "expr_to_text", "expr_from_text", "to_superop"),
                     "algebra"),
     **dict.fromkeys(("IDENTITY_NAMES", "check_identity", "cross_validate"),
                     "identities"),

@@ -51,7 +51,6 @@ __all__ = [
     "R", "RR", "LAM", "UFUN",
     "Gen", "AlgebraExpr",
     "aL", "aL_dag", "aR", "aR_dag", "one", "coeff",
-    "normal_order", "commutator_symbolic",
     "expr_to_text", "expr_from_text",
     "to_superop",
 ]
@@ -304,14 +303,6 @@ def one() -> AlgebraExpr:
 def coeff(c) -> AlgebraExpr:
     """Multiplication by a radial coefficient (applied after the word)."""
     return AlgebraExpr.from_term(sympy.sympify(c), ())
-
-
-def normal_order(e: AlgebraExpr) -> AlgebraExpr:
-    return e.normal()
-
-
-def commutator_symbolic(A: AlgebraExpr, B: AlgebraExpr) -> AlgebraExpr:
-    return A.commutator(B).normal()
 
 
 # -- text serialization --------------------------------------------------------

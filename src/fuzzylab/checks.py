@@ -245,19 +245,22 @@ def _vanishes(space: Space, op: SuperOp, scale: float):
 @dataclass
 class CheckSpec:
     check_id: str
-    suite: str
     statement: str
     runner: Callable[[Space, CheckConfig], Tuple[float, str]]
     kind: str = "identity"
     tol: Optional[float] = None  # None: the run's tolerance
     per_space: bool = True  # False: runs once, independent of (lam, n_max) grid
 
+    @property
+    def suite(self) -> str:
+        """The suite is the prefix of the check id."""
+        return self.check_id.split(".")[0]
+
 
 def _commutator_check(check_id: str, statement: str, auto_margin: int,
                       rows: Callable[[Space], list]) -> CheckSpec:
     """One commutator check: ``rows(space)`` lists its (A, B, terms)."""
-    return CheckSpec(check_id, check_id.split(".")[0], statement,
-                     _commutator_runner(auto_margin, rows))
+    return CheckSpec(check_id, statement, _commutator_runner(auto_margin, rows))
 
 
 # ---- kinematics (matrix level + L/X families) -------------------------------
@@ -800,16 +803,16 @@ def _run_kappa1_diag(space: Space, config: CheckConfig):
 
 
 CHECKS: List[CheckSpec] = [
-    CheckSpec("kinematics.coordinates", "kinematics",
+    CheckSpec("kinematics.coordinates",
               "[x_i, x_j] = 2 i lam eps_ijk x_k (matrix level)",
               _run_coordinate_algebra, tol=1e-12),
-    CheckSpec("kinematics.x_square", "kinematics",
-              "x^2 = r^2 - lam^2 (matrix level)", _run_x_square, tol=1e-12),
-    CheckSpec("kinematics.ladder", "kinematics",
+    CheckSpec("kinematics.x_square", "x^2 = r^2 - lam^2 (matrix level)",
+              _run_x_square, tol=1e-12),
+    CheckSpec("kinematics.ladder",
               "[a_a, a+_b] = delta_ab (interior), [a, a] = [a+, a+] = 0",
               _run_ladder_algebra, tol=1e-12),
-    CheckSpec("kinematics.radial_scalar", "kinematics",
-              "[x_j, r] = 0 and [L_ab, r] = 0", _run_radial_scalar),
+    CheckSpec("kinematics.radial_scalar", "[x_j, r] = 0 and [L_ab, r] = 0",
+              _run_radial_scalar),
     _commutator_check(
         "kinematics.LL", "[L_i, L_j] = i eps_ijk L_k", 0,
         lambda s: _eps_rows(s.angular_momentum, s.angular_momentum,
@@ -851,92 +854,88 @@ CHECKS: List[CheckSpec] = [
         "e4.VV", "[V_a, V_b] = 0 for a, b = 1..4", 2,
         lambda s: [(s.velocity_so4(a), s.velocity_so4(b), ())
                    for a, b in _PAIRS4]),
-    CheckSpec("velocity.on_coordinates", "velocity", "V_i x_j = -i delta_ij",
+    CheckSpec("velocity.on_coordinates", "V_i x_j = -i delta_ij",
               _run_velocity_on_coordinates),
-    CheckSpec("velocity.on_radial", "velocity",
-              "V_j f(r) = -i (x_j/r) f'_lam(r)", _run_velocity_on_radial),
-    CheckSpec("velocity.forms", "velocity",
+    CheckSpec("velocity.on_radial", "V_j f(r) = -i (x_j/r) f'_lam(r)",
+              _run_velocity_on_radial),
+    CheckSpec("velocity.forms",
               "definition and normal forms of V_j, V_4 agree",
               _run_velocity_forms),
-    CheckSpec("velocity.h0_forms", "velocity",
+    CheckSpec("velocity.h0_forms",
               "H0 double-commutator equals charge-zero bilinear form",
               _run_h0_forms),
-    CheckSpec("velocity.leibniz", "velocity",
-              "modified Leibniz rule with correction K", _run_leibniz),
-    CheckSpec("velocity.correction_sum", "velocity",
+    CheckSpec("velocity.leibniz", "modified Leibniz rule with correction K",
+              _run_leibniz),
+    CheckSpec("velocity.correction_sum",
               "(K_i(x_j,.) + K_i(.,x_j))/2 = i delta lam^2 H0",
               _run_correction_sum),
-    CheckSpec("velocity.correction_unit", "velocity", "K_i(1, psi) = 0",
+    CheckSpec("velocity.correction_unit", "K_i(1, psi) = 0",
               _run_kzero_identity),
-    CheckSpec("velocity.comm_limit", "velocity",
+    CheckSpec("velocity.comm_limit",
               "V_j f(r) converges to -i (x_j/r) f'(r) as lam -> 0",
               _run_comm_limit, tol=_BELOW_ONE, per_space=False),
-    CheckSpec("quadratic.V2H", "quadratic", "V^2 = 2 H0 - lam^2 H0^2",
-              _run_v2h),
-    CheckSpec("quadratic.VVH", "quadratic",
-              "(1/lam - lam H0)^2 = 1/lam^2 - V^2", _run_vvh),
-    CheckSpec("quadratic.C2", "quadratic", "C_2 = V_a V_a = 1/lam^2",
-              _run_casimir2),
-    CheckSpec("quadratic.pauli_lubanski", "quadratic",
+    CheckSpec("quadratic.V2H", "V^2 = 2 H0 - lam^2 H0^2", _run_v2h),
+    CheckSpec("quadratic.VVH", "(1/lam - lam H0)^2 = 1/lam^2 - V^2", _run_vvh),
+    CheckSpec("quadratic.C2", "C_2 = V_a V_a = 1/lam^2", _run_casimir2),
+    CheckSpec("quadratic.pauli_lubanski",
               "Lambda_a = 0 (a = 1..4), hence C_4 = 0", _run_pauli_lubanski),
     _commutator_check(
         "quadratic.VH0", "[V_i, H0] = 0", 2,
         lambda s: [(s.velocity(i), s.free_hamiltonian(), ()) for i in (1, 2, 3)]),
-    CheckSpec("acceleration.r2", "acceleration",
+    CheckSpec("acceleration.r2",
               "-i[V_i, U] equals its decomposition, U = r^2",
               _run_acceleration("r2")),
-    CheckSpec("acceleration.coulomb", "acceleration",
+    CheckSpec("acceleration.coulomb",
               "-i[V_i, U] equals its decomposition, U = -1/r",
               _run_acceleration("coulomb")),
-    CheckSpec("acceleration.exp", "acceleration",
+    CheckSpec("acceleration.exp",
               "-i[V_i, U] equals its decomposition, U = exp(-r)",
               _run_acceleration("exp")),
-    CheckSpec("acceleration.constant", "acceleration",
-              "constant potential gives zero acceleration",
-              _run_acc_constant, tol=1e-12),
-    CheckSpec("acceleration.full_hamiltonian", "acceleration",
+    CheckSpec("acceleration.constant",
+              "constant potential gives zero acceleration", _run_acc_constant,
+              tol=1e-12),
+    CheckSpec("acceleration.full_hamiltonian",
               "-i[V_i, H] = -i[V_i, U] for H = H0 + U", _run_acc_full_h),
-    CheckSpec("hermiticity.inner_product", "hermiticity",
-              "weighted inner product axioms", _run_ip_axioms, tol=1e-12),
-    CheckSpec("hermiticity.operators", "hermiticity",
+    CheckSpec("hermiticity.inner_product", "weighted inner product axioms",
+              _run_ip_axioms, tol=1e-12),
+    CheckSpec("hermiticity.operators",
               "L, X, V, V4, H0 hermitian under the weighted inner product",
               _run_hermiticity),
-    CheckSpec("hermiticity.h0_range", "hermiticity",
+    CheckSpec("hermiticity.h0_range",
               "H0 positive with spectrum inside [0, 2/lam^2]",
               _run_h0_positivity),
-    CheckSpec("spectra.bound", "spectra",
+    CheckSpec("spectra.bound",
               "sector spectra inside [0, 2/lam^2] (kinetic cutoff)",
               _run_spectrum_bound, tol=1e-8),
-    CheckSpec("spectra.v2_consistency", "spectra",
+    CheckSpec("spectra.v2_consistency",
               "sector V^2 equals 2E - lam^2 E^2 on interior rows",
               _run_v2_consistency, tol=1e-8),
-    CheckSpec("spectra.m_independence", "spectra",
-              "reduced Hamiltonian independent of m", _run_m_independence),
-    CheckSpec("spectra.brute_force", "spectra",
+    CheckSpec("spectra.m_independence", "reduced Hamiltonian independent of m",
+              _run_m_independence),
+    CheckSpec("spectra.brute_force",
               "full kappa=0 spectrum equals sector union", _run_brute_force,
               tol=1e-8),
-    CheckSpec("spectra.convergence", "spectra",
+    CheckSpec("spectra.convergence",
               "NC free levels approach the FD oracle at fixed box",
               _run_convergence, tol=1.0, per_space=False),
-    CheckSpec("spectra.coulomb_oracle", "spectra",
+    CheckSpec("spectra.coulomb_oracle",
               "Coulomb ground level within 5% of the FD oracle",
               functools.partial(_run_coulomb_oracle, 0), tol=0.05,
               per_space=False),
-    CheckSpec("spectra.coulomb_oracle_j1", "spectra",
+    CheckSpec("spectra.coulomb_oracle_j1",
               "j = 1 Coulomb ground level within 5% of the FD oracle",
               functools.partial(_run_coulomb_oracle, 1), tol=0.05,
               per_space=False),
-    CheckSpec("symbolic.proofs", "symbolic",
+    CheckSpec("symbolic.proofs",
               "appendix identities reduce to the exact zero normal form",
               _run_symbolic_proofs, tol=0.5, per_space=False),
-    CheckSpec("symbolic.pauli", "symbolic",
+    CheckSpec("symbolic.pauli",
               "Pauli anticommutator/trace and Fierz identities (exact)",
               _run_pauli_lemmas, tol=0.5, per_space=False),
-    CheckSpec("symbolic.cross_validation", "symbolic",
+    CheckSpec("symbolic.cross_validation",
               "symbolic operators match numeric twins", _run_cross_validation),
-    CheckSpec("diagnostic.kappa1_vv", "diagnostic",
-              "[V_1, V_2] != 0 on a kappa = 1 state", _run_kappa1_diag,
-              kind="diagnostic", tol=1e-3),
+    CheckSpec("diagnostic.kappa1_vv", "[V_1, V_2] != 0 on a kappa = 1 state",
+              _run_kappa1_diag, kind="diagnostic", tol=1e-3),
 ]
 
 CHECK_IDS = tuple(c.check_id for c in CHECKS)

@@ -154,8 +154,8 @@ def _cmd_prove(args) -> int:
     for name in names:
         try:
             res = idn.check_identity(name)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except KeyError as exc:  # str() of a KeyError quotes its message
+            print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         chunks.append(res.transcript())
         all_ok = all_ok and res.ok

@@ -19,10 +19,10 @@ f(r)) keep their scipy matrix and its products.
 
 The storage rules live here only: the shell start (:func:`shell_start`), the
 packed layout with the row and column of every entry (:class:`Packing`) and
-the packed maps of matrix products (:meth:`FockBasis.leaf_map`).  So do the
-lambda rule (finite, > 0) and the basis rule (what meets shares one n_max):
-:func:`validate_lambda`, :func:`check_same_basis`.  Scipy is imported here
-and in ``operators`` only.
+the packed maps of matrix products (:meth:`FockBasis.leaf_map`), read from
+that layout by one rule for both sides.  So do the lambda rule (finite, > 0)
+and the basis rule (what meets shares one n_max): :func:`validate_lambda`,
+:func:`check_same_basis`.  Scipy is imported here and in ``operators`` only.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "ladder_matrix",
     "coordinate_matrix",
     "radial_matrix",
-    "inner_product",
     "random_state",
     "interior_projection",
     "state_to_text",
@@ -167,37 +166,33 @@ class FockBasis:
         """(k, map) of psi -> M psi (``left``) or psi -> psi M on packed charge
         kappa, where k = kappa + s for the one shell shift s of M's entries.
 
-        Built from shell arithmetic: left multiplication by the entry M[i, j]
-        moves row j of the state to row i along the whole right shell
-        shell(j) - kappa; right multiplication by M[i, j] moves column i to
-        column j down the whole left shell shell(i) + kappa.
+        One rule for both sides, read from the packed layout: the packed
+        entry (i, c) meets the nonzeros M[r, i] of column i (``left``, M read
+        as CSC) or M[c, r] of row c (M read as CSR), and lands on (r, c) or
+        (i, r), at ``offset[row] + col - shell_start(shell(col))`` of the
+        charge-k layout.
         """
-        matrix = matrix.tocsr()
-        shells, n_max = self.shells, self.n_max
-        first = shell_start(shells)  # start index of each entry's shell
-        i = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-        j, v = matrix.indices, matrix.data
-        shifts = np.unique(shells[i] - shells[j])
+        m = matrix.tocsc() if left else matrix.tocsr()
+        shells, src, per = self.shells, self.packing(kappa), np.diff(m.indptr)
+        major = np.repeat(np.arange(len(per)), per)  # column (left) or row of a nonzero
+        shifts = np.unique((shells[m.indices] - shells[major]) * (1 if left else -1))
         if len(shifts) > 1:
             raise ValueError(f"leaf matrix mixes charge shifts {shifts.tolist()}")
         k = kappa + int(shifts.sum())  # an empty matrix keeps the charge
-        src, dst = self.packing(kappa), self.packing(k)
-        span = shells[j] - kappa if left else shells[i] + kappa
-        ok = (span >= 0) & (span <= n_max)
-        i, j, v, span = i[ok], j[ok], v[ok], span[ok]
-        count = span + 1
-        entry = np.repeat(np.arange(len(v)), count)
-        t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        i, j, v = i[entry], j[entry], v[entry]
-        if left:
-            out, col = dst.offset[i] + t, src.offset[j] + t
-        else:
-            row = shell_start(span[entry]) + t
-            out, col = dst.offset[row] + j - first[j], src.offset[row] + i - first[i]
-        order = np.lexsort((col, out))
+        dst, meets = self.packing(k), src.rows if left else src.cols
+        count = per[meets]  # nonzeros of M along the index each packed entry meets
+        entry = np.repeat(np.arange(src.size), count)
+        nz = np.arange(len(entry)) + np.repeat(m.indptr[meets] - np.cumsum(count) + count,
+                                               count)
+        new = m.indices[nz]
+        row, col = (new, src.cols[entry]) if left else (src.rows[entry], new)
+        out = dst.offset[row] + col - shell_start(shells[col])
+        # entries come by ascending input position, so a stable sort by output
+        # position leaves each row's columns ascending
+        order = np.argsort(out, kind="stable")
         indptr = np.zeros(dst.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(out, minlength=dst.size), out=indptr[1:])
-        return k, sp.csr_matrix((v[order], col[order], indptr),
+        return k, sp.csr_matrix((m.data[nz][order], entry[order], indptr),
                                 shape=(dst.size, src.size))
 
     def charges(self, matrix: np.ndarray) -> np.ndarray:
@@ -258,7 +253,7 @@ def coordinate_matrix(basis: FockBasis, j: int, lam: float) -> FockMatrix:
         raise ValueError("j must be 1, 2 or 3")
     validate_lambda(lam)
     a = [ladder_matrix(basis, m).matrix for m in (1, 2)]
-    ad = [m.conj().T.tocsr() for m in a]
+    ad = [ladder_matrix(basis, m, dagger=True).matrix for m in (1, 2)]
     return FockMatrix(basis, coordinate_from_ladders(a, ad, j, lam))
 
 
@@ -447,11 +442,6 @@ class WeightedInnerProduct:
     def norm(self, psi: NCState) -> float:
         val = self(psi, psi)
         return float(np.sqrt(max(val.real, 0.0)))
-
-
-def inner_product(phi: NCState, psi: NCState, w: WeightedInnerProduct) -> complex:
-    """Weighted inner product of two states (same basis required)."""
-    return w(phi, psi)
 
 
 def random_state(basis: FockBasis, seed: int, kappa: int, support_max: int,

@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from .fock import (EPS3, PAULI, FockBasis, NCState, WeightedInnerProduct,
                    check_same_basis, coordinate_from_ladders, enumerate_basis,
                    interior_projection, ladder_matrix, radial_grid,
-                   random_state, validate_lambda)
+                   radial_matrix, random_state, validate_lambda)
 
 __all__ = ["SuperOp", "RadialFunction", "Space"]
 
@@ -223,19 +223,11 @@ class SuperOp:
 
 @dataclass
 class RadialFunction:
-    """Values of a radial function on the shells r_n = lam (n + 1).
-
-    ``boundary_flags`` marks shells whose value came from the constant
-    extension used by the lambda-derivative at the edges of the grid.
-    Nothing reads the flags: the acceleration checks' state margin of at
-    least 2 (``floor=2``) keeps shell n_max out of their residuals, and at
-    shell 0 the extension stands for shell -1, whose terms cancel.
-    """
+    """Values of a radial function on the shells r_n = lam (n + 1)."""
 
     values: np.ndarray
     lam: float
     name: str = ""
-    boundary_flags: tuple = ()
 
     def __post_init__(self):
         validate_lambda(self.lam)
@@ -264,7 +256,10 @@ class RadialFunction:
 
         order 1: (f(r+lam) - f(r-lam)) / (2 lam)
         order 2: (f(r+lam) - 2 f(r) + f(r-lam)) / lam^2
-        Shells 0 and n_max use the constant extension and are flagged.
+        Shells 0 and n_max use the constant extension.  The acceleration
+        checks need no flag for them: their state margin of at least 2
+        (``floor=2``) keeps shell n_max out of their residuals, and at shell 0
+        the extension stands for shell -1, whose terms cancel.
         """
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
@@ -277,9 +272,7 @@ class RadialFunction:
         else:
             vals = (up - 2.0 * mid + down) / self.lam**2
             tag = "''"
-        return RadialFunction(values=vals, lam=self.lam,
-                              name=f"{self.name}{tag}",
-                              boundary_flags=(0, self.n_max))
+        return RadialFunction(values=vals, lam=self.lam, name=f"{self.name}{tag}")
 
 
 def _sigma_pairs(j: int):
@@ -331,13 +324,13 @@ class Space:
         self.lam = float(lam)
         self.basis = enumerate_basis(n_max)
         self.a = [ladder_matrix(self.basis, m).matrix for m in (1, 2)]
-        self.ad = [m.conj().T.tocsr() for m in self.a]
+        self.ad = [ladder_matrix(self.basis, m, dagger=True).matrix for m in (1, 2)]
         self.x = [coordinate_from_ladders(self.a, self.ad, j, lam)
                   for j in (1, 2, 3)]
         self.ip = WeightedInnerProduct(self.basis, lam)
         self.r_diag = self.ip.r_diag
         self.rinv = sp.diags(1.0 / self.r_diag, format="csr", dtype=complex)
-        self.r = sp.diags(self.r_diag, format="csr", dtype=complex)
+        self.r = radial_matrix(self.basis, lam).matrix
         self._ops = {}
 
     # -- state helpers ----------------------------------------------------
@@ -445,11 +438,6 @@ class Space:
         s = _sum(self._ladder_commutator(al, True) @ self._ladder_commutator(al, False)
                  for al in (1, 2))
         return _named((1.0 / (2.0 * self.lam)) * (self._rinv() @ s), "H0", 1)
-
-    @_memoized
-    def laplacian(self) -> SuperOp:
-        """Deformed Laplacian: Delta_lam = -2 H0 (with m = 1)."""
-        return -2.0 * self.free_hamiltonian()
 
     def _sigma_sum(self, j: int, term) -> SuperOp:
         """sum over (al, be) of sig^j_{al be} * term(al, be), 1-based modes."""

@@ -10,7 +10,7 @@ import platform
 import sys
 from dataclasses import asdict, dataclass, field
 from importlib import metadata
-from typing import List, Optional
+from typing import List
 
 __all__ = ["CheckRecord", "VerificationReport", "emit_report",
            "report_from_json", "environment_fingerprint",
@@ -78,7 +78,6 @@ class CheckRecord:
 class VerificationReport:
     config: dict
     records: List[CheckRecord] = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -105,7 +104,7 @@ class VerificationReport:
         """Strict JSON: a non-finite number (the residual of an errored
         check) is written as null."""
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "config": self.config,
             "summary": self.summary(),
             "records": [asdict(r) for r in self.records],
@@ -174,18 +173,12 @@ def report_from_json(text: str) -> VerificationReport:
     return VerificationReport(config=payload["config"], records=records)
 
 
-def emit_report(report: VerificationReport, fmt: str,
-                path: Optional[str] = None) -> str:
-    """Render the report as json/csv/text; write to ``path`` if given."""
+def emit_report(report: VerificationReport, fmt: str) -> str:
+    """Render the report as json/csv/text."""
     if fmt == "json":
-        out = report.to_json()
-    elif fmt == "csv":
-        out = report.to_csv()
-    elif fmt == "text":
-        out = report.to_text()
-    else:
-        raise ValueError(f"unknown format {fmt!r} (want one of {FORMATS})")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(out)
-    return out
+        return report.to_json()
+    if fmt == "csv":
+        return report.to_csv()
+    if fmt == "text":
+        return report.to_text()
+    raise ValueError(f"unknown format {fmt!r} (want one of {FORMATS})")

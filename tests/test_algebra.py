@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzylab import algebra
 from fuzzylab.algebra import (LAM, R, RR, UFUN, AlgebraExpr, aL, aL_dag, aR,
-                              aR_dag, coeff, commutator_symbolic,
-                              expr_from_text, expr_to_text, normal_order, one,
+                              aR_dag, coeff, expr_from_text, expr_to_text, one,
                               to_superop)
 from fuzzylab import identities as idn
 from fuzzylab.operators import Space
@@ -52,14 +51,14 @@ def test_number_relation_left_and_right():
 
 
 def test_commutator_basics():
-    assert _is_zero(commutator_symbolic(aL(1), aL_dag(1)) - one())
+    assert _is_zero(aL(1).commutator(aL_dag(1)).normal() - one())
     e = aL_dag(1) * aR(2) + coeff(1 / R) * aL(2)
     assert _is_zero(e.commutator(e))
 
 
 def test_coordinate_commutator_symbolic():
     x = [idn.x_left(j) for j in (1, 2, 3)]
-    got = commutator_symbolic(x[0], x[1])
+    got = x[0].commutator(x[1]).normal()
     want = (2 * sympy.I * LAM) * x[2]
     assert _is_zero((got - want))
 
@@ -111,26 +110,26 @@ def small_exprs(draw):
 @settings(max_examples=25, deadline=None)
 @given(small_exprs())
 def test_normal_order_idempotent(expr):
-    nf = normal_order(expr)
+    nf = expr.normal()
     again = AlgebraExpr(terms=dict(nf.terms))  # drop the normal-form flag
-    assert _is_zero(normal_order(again) - nf)
+    assert _is_zero(again.normal() - nf)
 
 
 @settings(max_examples=20, deadline=None)
 @given(small_exprs(), small_exprs())
 def test_normal_order_confluent_across_assembly_order(e1, e2):
     # building the sum/product in either order yields the same canonical form
-    a = normal_order(e1 + e2)
-    b = normal_order(e2 + e1)
+    a = (e1 + e2).normal()
+    b = (e2 + e1).normal()
     assert sorted(map(str, a.sorted_terms())) == sorted(map(str, b.sorted_terms()))
-    p = normal_order(e1 * e2 - e1 * e2)
+    p = (e1 * e2 - e1 * e2).normal()
     assert p.terms == {}
 
 
 @settings(max_examples=15, deadline=None)
 @given(small_exprs())
 def test_text_round_trip(expr):
-    nf = normal_order(expr)
+    nf = expr.normal()
     back = expr_from_text(expr_to_text(nf))
     assert _is_zero(back - nf)
 

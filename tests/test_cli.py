@@ -104,12 +104,11 @@ def test_diagnostic_never_fails_report():
     assert report.summary()["diagnostics_observed"] == 0
 
 
-def test_emit_report_formats(tmp_path):
+def test_emit_report_formats():
     report = run_suite(small_config())
-    for fmt, suffix in (("json", "json"), ("csv", "csv"), ("text", "txt")):
-        path = tmp_path / f"report.{suffix}"
-        emit_report(report, fmt, str(path))
-        assert path.exists() and path.stat().st_size > 0
+    for fmt, render in (("json", report.to_json), ("csv", report.to_csv),
+                        ("text", report.to_text)):
+        assert emit_report(report, fmt) == render()
     with pytest.raises(ValueError):
         emit_report(report, "yaml")
 
@@ -492,3 +491,11 @@ def test_cli_spectrum_schedule_checks_the_dirichlet_table_before_writing(
     # one lambda writes no table, so the hard-wall sector alone decides
     assert main(["spectrum", "--boundary", "hard", "--j", "1", "--lambda",
                  "0.5", "--nmax", "1", "--out", str(out)]) == 0
+
+
+def test_cli_prove_unknown_identity_prints_the_plain_message(capsys):
+    assert main(["prove", "--identity", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown identity 'bogus'; have ['acceleration', "
+        "'correction-sum', 'quadratic-relation', 'velocity-commutator', "
+        "'velocity-form']\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fuzzylab.fock import (EPS3, NCState, WeightedInnerProduct,
-                           coordinate_matrix, enumerate_basis, inner_product,
+                           coordinate_matrix, enumerate_basis,
                            interior_projection, ladder_matrix, radial_matrix,
                            random_state, state_from_text, state_to_text)
 
@@ -138,7 +138,7 @@ def test_inner_product_rejects_basis_mismatch():
     w5 = WeightedInnerProduct(enumerate_basis(5), 0.5)
     psi5 = random_state(enumerate_basis(5), 0, 0, 5, w5)
     with pytest.raises(ValueError):
-        inner_product(psi4, psi5, w)
+        w(psi4, psi5)
 
 
 def test_random_state_determinism_support_and_charge():
@@ -298,3 +298,27 @@ def test_mixing_bases_raises_one_error_everywhere():
                 lambda: small.ip(psi, psi), lambda: small.ip.by_shell(phi, psi)):
         with pytest.raises(ValueError, match="different bases: n_max"):
             mix()
+
+
+def test_leaf_map_applies_every_leaf_on_both_sides():
+    import scipy.sparse as sp
+    from fuzzylab.operators import Space
+    space = Space(7, 0.4)
+    basis = space.basis
+    leaves = space.a + space.ad + space.x + [
+        space.r, space.rinv, space.shell_diagonal(np.cos(np.arange(8.0)))]
+    for kappa in range(-3, 4):
+        psi = random_state(basis, 40 + kappa, kappa, basis.n_max, space.ip)
+        for m in leaves:
+            for left in (True, False):
+                k, mat = basis.leaf_map(m, kappa, left)
+                got = NCState(basis, {k: mat @ psi.parts[kappa]}).dense()
+                want = m @ psi.dense() if left else psi.dense() @ m
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for left in (True, False):  # a sum of a and a+ has no one charge shift
+        with pytest.raises(ValueError, match="mixes charge shifts"):
+            basis.leaf_map(space.a[0] + space.ad[0], 0, left)
+        for kappa in range(-3, 4):  # an empty matrix keeps the charge
+            size = basis.packing(kappa).size
+            k, mat = basis.leaf_map(sp.csr_matrix((basis.dim, basis.dim)), kappa, left)
+            assert k == kappa and mat.shape == (size, size) and mat.nnz == 0

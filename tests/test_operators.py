@@ -301,13 +301,6 @@ def test_velocity_commutes_with_hamiltonian(space):
         assert rel(space, got, 2, scale) < 1e-12
 
 
-def test_laplacian_is_minus_twice_hamiltonian(space):
-    psi = space.random_state(90, 0, space.n_max - 1)
-    got = space.laplacian()(psi)
-    want = -2.0 * space.free_hamiltonian()(psi)
-    assert (got - want).absmax() == 0.0
-
-
 def test_radial_function_derivatives():
     lam, n_max = 0.3, 12
     ident = RadialFunction.from_callable(lambda r: r, lam, n_max, name="r")
@@ -321,7 +314,6 @@ def test_radial_function_derivatives():
     inner = slice(1, n_max)  # boundary shells use the constant extension
     assert np.abs(d1.values[inner] - 2.0 * grid[inner]).max() < 1e-12
     assert np.abs(d2.values[inner] - 2.0).max() < 1e-12
-    assert d1.boundary_flags == (0, n_max)
     inv = RadialFunction.from_callable(lambda r: 1.0 / r, lam, n_max, name="1/r")
     d1 = inv.lambda_derivative(1)
     want = -1.0 / (grid[inner] ** 2 - lam**2)
@@ -416,7 +408,7 @@ def _every_space_operator(space):
     r2 = RadialFunction.from_callable(lambda r: r * r, space.lam,
                                       space.n_max, name="r2")
     ops = [space.radial(), space.radial_multiplication(r2),
-           space.free_hamiltonian(), space.laplacian(), space.velocity4(),
+           space.free_hamiltonian(), space.velocity4(),
            space.velocity4_cross_form(), space.hamiltonian(coulomb),
            space.casimir2()]
     for k in (1, 2, 3):
