@@ -99,6 +99,18 @@ MUTANTS = [
      "checks += (mat[hit],)",
      "checks += ()",
      ["tests/test_algebra.py::test_to_superop_pole_masking_and_error"]),
+    ("stacked grid reads the stacked row", "operators.py",
+     "coefficient(cur.row % dim, cur.col % dim)",
+     "coefficient(cur.row, cur.col % dim)",
+     ["tests/test_operators.py::"
+      "test_stacked_walk_equals_single_walks_bit_for_bit",
+      "tests/test_operators.py::"
+      "test_stacked_walk_raises_the_single_walk_pole_error_from_any_block"]),
+    ("one-pass sector norms read the next shells", "spectra.py",
+     "np.sqrt(space.ip.by_shell(total, total)[shells].real)",
+     "np.sqrt(space.ip.by_shell(total, total)[np.add(shells, 1)].real)",
+     ["tests/test_spectra.py::"
+      "test_one_pass_sector_norms_equal_per_state_norms"]),
     ("compose drops the outer checks", "operators.py",
      "checks + tuple((c @ m1).tocsr() for c in more)",
      "checks",

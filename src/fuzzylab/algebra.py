@@ -218,9 +218,6 @@ class AlgebraExpr:
         c = sympy.sympify(other)
         return AlgebraExpr(terms={w: c * cc for w, cc in self.terms.items()})
 
-    def __neg__(self) -> "AlgebraExpr":
-        return (-1) * self
-
     def commutator(self, other: "AlgebraExpr") -> "AlgebraExpr":
         return self * other - other * self
 
@@ -269,9 +266,6 @@ class AlgebraExpr:
             w, _c = item
             return (len(w), tuple(_gen_key(g) for g in w))
         return sorted(self.terms.items(), key=key)
-
-    def __str__(self) -> str:
-        return expr_to_text(self)
 
 
 # -- builders ----------------------------------------------------------------

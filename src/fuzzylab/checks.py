@@ -363,12 +363,9 @@ _lab_r = _commutator_runner(0, lambda s: [(s.so4_generator(a, b), s.radial(), ()
 def _run_velocity_on_coordinates(space: Space, config: CheckConfig):
     margin = _margin(config, 1)
     worst = 0.0
-    eye = space.identity_state()
+    eye, xs = space.identity_state(), [space.state(x) for x in space.x]
     for i in (1, 2, 3):
-        vi = space.velocity(i)
-        for j in (1, 2, 3):
-            xj = space.state(space.x[j - 1])
-            got = vi(xj)
+        for j, got in enumerate(space.velocity(i).each(xs), 1):
             want = (-1.0j if i == j else 0.0) * eye
             worst = max(worst, _rel_residual(space, got - want, margin, [eye]))
     return worst, "V_i x_j = -i delta_ij"
@@ -882,15 +879,10 @@ CHECKS: List[CheckSpec] = [
     _commutator_check(
         "quadratic.VH0", "[V_i, H0] = 0", 2,
         lambda s: [(s.velocity(i), s.free_hamiltonian(), ()) for i in (1, 2, 3)]),
-    CheckSpec("acceleration.r2",
-              "-i[V_i, U] equals its decomposition, U = r^2",
-              _run_acceleration("r2")),
-    CheckSpec("acceleration.coulomb",
-              "-i[V_i, U] equals its decomposition, U = -1/r",
-              _run_acceleration("coulomb")),
-    CheckSpec("acceleration.exp",
-              "-i[V_i, U] equals its decomposition, U = exp(-r)",
-              _run_acceleration("exp")),
+    *(CheckSpec(f"acceleration.{name}",
+                f"-i[V_i, U] equals its decomposition, U = {formula}",
+                _run_acceleration(name))
+      for name, formula in (("r2", "r^2"), ("coulomb", "-1/r"), ("exp", "exp(-r)"))),
     CheckSpec("acceleration.constant",
               "constant potential gives zero acceleration", _run_acc_constant,
               tol=1e-12),

@@ -257,9 +257,7 @@ def _cmd_converge(args) -> int:
         lines.append(f"# bound levels present: {len(bound)} records with E < 0")
         deepest = {}
         for r in records:
-            cur = deepest.get(r.lam)
-            deepest[r.lam] = min(cur, r.energy_nc) if cur is not None \
-                else r.energy_nc
+            deepest[r.lam] = min(deepest.get(r.lam, r.energy_nc), r.energy_nc)
         scaled = ", ".join(f"lam={lam!r}: E_min={e!r}, E_min/lam^2={e / lam**2!r}"
                            for lam, e in sorted(deepest.items()))
         lines.append(f"# deepest-level scaling: {scaled}")

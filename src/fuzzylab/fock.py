@@ -195,6 +195,16 @@ class FockBasis:
         return k, sp.csr_matrix((m.data[nz][order], entry[order], indptr),
                                 shape=(dst.size, src.size))
 
+    def block_diagonal(self, mats) -> sp.csr_matrix:
+        """The dim x dim CSR matrices ``mats`` down the diagonal of one, with
+        each row's entries kept in their order (``sp.block_diag`` sorts them)."""
+        ends = np.cumsum([0] + [m.nnz for m in mats])
+        indices = [m.indices + b * self.dim for b, m in enumerate(mats)]
+        indptr = [[0]] + [m.indptr[1:] + z for m, z in zip(mats, ends)]
+        return sp.csr_matrix((np.concatenate([m.data for m in mats]),
+                              np.concatenate(indices), np.concatenate(indptr)),
+                             shape=(len(mats) * self.dim,) * 2)
+
     def charges(self, matrix: np.ndarray) -> np.ndarray:
         """Charges shell(i) - shell(k) of the nonzero entries of a dense
         matrix (a NaN counts, a negative zero does not)."""
@@ -242,9 +252,7 @@ def ladder_matrix(basis: FockBasis, mode: int, dagger: bool = False) -> FockMatr
     rows = shell_start(below) + n2[cols] - (mode == 2)
     vals = np.sqrt(occ[cols].astype(float)).astype(complex)
     m = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
-    if dagger:
-        return FockMatrix(basis, m.conj().T.tocsr())
-    return FockMatrix(basis, m)
+    return FockMatrix(basis, m.conj().T.tocsr() if dagger else m)
 
 
 def coordinate_matrix(basis: FockBasis, j: int, lam: float) -> FockMatrix:
@@ -253,7 +261,7 @@ def coordinate_matrix(basis: FockBasis, j: int, lam: float) -> FockMatrix:
         raise ValueError("j must be 1, 2 or 3")
     validate_lambda(lam)
     a = [ladder_matrix(basis, m).matrix for m in (1, 2)]
-    ad = [ladder_matrix(basis, m, dagger=True).matrix for m in (1, 2)]
+    ad = [m.conj().T.tocsr() for m in a]
     return FockMatrix(basis, coordinate_from_ladders(a, ad, j, lam))
 
 
@@ -434,8 +442,7 @@ class WeightedInnerProduct:
         check_same_basis(self, phi, psi)
         a = sp.csr_matrix(phi.matrix)
         prod = a.conj().multiply(self._r_sparse @ sp.csr_matrix(psi.matrix))
-        ends = prod.indptr[[self.basis.shell_slice(n).start
-                            for n in range(self.basis.n_max + 2)]]
+        ends = prod.indptr[shell_start(np.arange(self.basis.n_max + 2))]
         sums = [prod.data[lo:hi].sum() for lo, hi in zip(ends[:-1], ends[1:])]
         return 4.0 * np.pi * self.lam**2 * np.asarray(sums, dtype=complex)
 

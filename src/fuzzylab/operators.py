@@ -16,16 +16,17 @@ compositions know how big an interior margin makes truncated identities
 exact; the sum of composed bandwidths is always a safe margin.
 
 A SuperOp is an expression tree whose leaves multiply the state from the
-left or the right by a fixed matrix.  A sparse state walks the tree with
-scipy products.  Each operator has one charge shift s: it takes charge kappa
-to kappa + s (s = +-1 for a ladder leaf, 0 for the operators of the paper).
-A packed state is applied charge by charge: the tree is compiled once per
-input charge into one sparse matrix from the packed charge-kappa vector to
-the packed charge-(kappa + s) vector, so an application is one matvec per
-charge the state holds.  The packed layout and the leaf maps belong to
-``fock`` (:meth:`FockBasis.packing`, :meth:`FockBasis.leaf_map`); this
-module does no index arithmetic.  A sum of operators with different shifts
-applies to sparse states only.
+left or the right by a fixed matrix.  A sparse state, or a block-diagonal
+stack of them (``SuperOp.each``), walks the tree with scipy products.  Each
+operator has one charge shift s: it takes charge kappa to kappa + s (s = +-1
+for a ladder leaf, 0 for the operators of the paper).  A packed state is
+applied charge by charge: the tree is compiled once per input charge into
+one sparse matrix from the packed charge-kappa vector to the packed
+charge-(kappa + s) vector, so an application is one matvec per charge the
+state holds.  The packed layout, the leaf maps and the stacks belong to
+``fock`` (:meth:`FockBasis.packing`, :meth:`FockBasis.leaf_map`,
+:meth:`FockBasis.block_diagonal`).  A sum of operators with different
+shifts applies to sparse states only.
 
 A central potential is a RadialFunction sampled on a Space's own grid
 (``Space.sample``); a Space rejects one sampled on another grid.
@@ -77,6 +78,7 @@ class SuperOp:
     name: str = ""
     shared: bool = False
     _compiled: dict = field(default_factory=dict, repr=False)
+    _stacks: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def left(cls, basis: FockBasis, matrix, bandwidth: int = 0,
@@ -130,21 +132,29 @@ class SuperOp:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SuperOp":
-        return self * (-1.0)
-
     def commutator(self, other: "SuperOp") -> "SuperOp":
         return _named(self @ other - other @ self, f"[{self.name},{other.name}]",
                       self.bandwidth + other.bandwidth)
 
     # -- sparse states: walk the tree with scipy products -------------------
 
+    def each(self, states) -> list:
+        """One walk of the block-diagonal stack of sparse ``states``: their images."""
+        check_same_basis(self, *states)
+        stack = self.basis.block_diagonal([s.matrix.tocsr() for s in states])
+        out, dim = self._walk(stack).tocsr(), self.basis.dim
+        return [NCState(self.basis, out[b:b + dim, b:b + dim])
+                for b in range(0, stack.shape[0], dim)]
+
     def _walk(self, m):
+        """The image of a sparse state or of a block-diagonal stack of them."""
         kind, args = self.kind, self.args
-        if kind == "left":
-            return args[0] @ m
-        if kind == "right":
-            return m @ args[0]
+        if kind in ("left", "right"):
+            n = m.shape[0] // self.basis.dim
+            leaf = args[0] if n == 1 else self._stacks.get(n)
+            if leaf is None:
+                leaf = self._stacks[n] = self.basis.block_diagonal([args[0].tocsr()] * n)
+            return leaf @ m if kind == "left" else m @ leaf
         if kind == "id":
             return m
         if kind == "scale":
@@ -156,10 +166,10 @@ class SuperOp:
         if kind == "sub":
             return args[0]._walk(m) - args[1]._walk(m)
         coefficient, op = args
-        cur = sp.coo_matrix(op._walk(m))
+        cur, dim = sp.coo_matrix(op._walk(m)), self.basis.dim
         with np.errstate(invalid="ignore"):  # poles only touch zeros
             vals = np.where(cur.data == 0, 0.0,
-                            coefficient(cur.row, cur.col) * cur.data)
+                            coefficient(cur.row % dim, cur.col % dim) * cur.data)
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficient pole hit an occupied shell")
         return sp.csr_matrix((vals, (cur.row, cur.col)), shape=cur.shape)
@@ -324,7 +334,7 @@ class Space:
         self.lam = float(lam)
         self.basis = enumerate_basis(n_max)
         self.a = [ladder_matrix(self.basis, m).matrix for m in (1, 2)]
-        self.ad = [ladder_matrix(self.basis, m, dagger=True).matrix for m in (1, 2)]
+        self.ad = [m.conj().T.tocsr() for m in self.a]
         self.x = [coordinate_from_ladders(self.a, self.ad, j, lam)
                   for j in (1, 2, 3)]
         self.ip = WeightedInnerProduct(self.basis, lam)

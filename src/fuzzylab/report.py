@@ -174,11 +174,7 @@ def report_from_json(text: str) -> VerificationReport:
 
 
 def emit_report(report: VerificationReport, fmt: str) -> str:
-    """Render the report as json/csv/text."""
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "csv":
-        return report.to_csv()
-    if fmt == "text":
-        return report.to_text()
-    raise ValueError(f"unknown format {fmt!r} (want one of {FORMATS})")
+    """Render the report as json/csv/text (its ``to_<fmt>`` method)."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r} (want one of {FORMATS})")
+    return getattr(report, f"to_{fmt}")()

@@ -11,13 +11,14 @@ lives on the total shell N = n + j.  Only integer j occurs for charge-zero
 states; ``sector_shells`` is the one rule for j, m, the wall and the cutoff,
 and a potential must be sampled on the space's own grid.  A sector's shells
 must be distinct, so its states have disjoint support and a diagonal Gram
-matrix; reducing a superoperator of shell bandwidth w computes only the
+matrix, read (like the norms that normalize a sector) from one product split
+by shell; reducing a superoperator of shell bandwidth w computes only the
 entries within that bandwidth (the rest vanish exactly) and walks the
-operator tree once per group of states 2w + 1 radial indices apart, whose
-images do not overlap, instead of once per state.  H = H0 + U(r) reduces to
-a hermitian tridiagonal radial matrix; ``solve_sector`` takes it in closed
-form (``radial_hamiltonian``), with no sector state; the reduction is the
-reference it is checked against.
+operator tree once, over the block-diagonal stack of the sums of the groups
+of states 2w + 1 radial indices apart, whose images do not overlap.
+H = H0 + U(r) reduces to a hermitian tridiagonal radial matrix;
+``solve_sector`` takes it in closed form (``radial_hamiltonian``), with no
+sector state; the reduction is the reference it is checked against.
 
 Two walls are available.  ``boundary="hard"`` keeps every shell of the
 truncated arena, which is the cutoff itself (a+ annihilates the top shell)
@@ -123,14 +124,14 @@ def sector_shells(n_max: int, j, m, boundary: str) -> range:
 
 
 def build_sector(space: Space, j: int, m: int, boundary: str = "hard") -> AngularSector:
-    """Build and normalize the radial basis of the (j, m) sector."""
+    """Build the radial basis of the (j, m) sector, normalized in one pass."""
     shells = sector_shells(space.n_max, j, m, boundary)
-    j, states = shells.start, []
-    for n in range(len(shells)):
-        s = shell_state(space, j, int(m), n)
-        states.append(s * (1.0 / space.ip.norm(s)))
-    return AngularSector(j=j, m=int(m), lam=space.lam, boundary=boundary,
-                         states=states, shells=np.asarray(shells, dtype=float))
+    raw = [shell_state(space, shells.start, int(m), n) for n in range(len(shells))]
+    total = functools.reduce(operator.add, raw)
+    norms = np.sqrt(space.ip.by_shell(total, total)[shells].real)
+    return AngularSector(j=shells.start, m=int(m), lam=space.lam, boundary=boundary,
+                         states=[s * (1.0 / norm) for s, norm in zip(raw, norms)],
+                         shells=np.asarray(shells, dtype=float))
 
 
 def radial_hamiltonian(space: Space, j: int,
@@ -165,10 +166,11 @@ def reduce_superop(space: Space, sector: AngularSector, op: SuperOp) -> np.ndarr
     Only entries with |a - b| <= w = ``op.bandwidth`` are computed; the others
     pair states on shells further apart than the operator reaches.  States
     2w + 1 radial indices apart have images on disjoint shells, so ``op``
-    is applied once to the sum of each group ``states[c::2w+1]``, and one
-    product of that image with the sum of all sector states, split by row
-    shell, holds every <s_a, op s_b> of the group.  The Gram matrix is
-    diagonal (the shells are distinct) and is read the same way.
+    is applied to the sum of each group ``states[c::2w+1]`` (a SuperOp to
+    all the sums in one stacked walk, ``SuperOp.each``), and one product of
+    a group's image with the sum of all sector states, split by row shell,
+    holds every <s_a, op s_b> of the group.  The Gram matrix is diagonal
+    (the shells are distinct) and is read the same way.
     """
     shells = sector.shells.astype(int)
     if np.any(np.diff(shells) <= 0):
@@ -183,8 +185,10 @@ def reduce_superop(space: Space, sector: AngularSector, op: SuperOp) -> np.ndarr
     ginv = 1.0 / np.sqrt(g)
     out = np.zeros((d, d), dtype=complex)
     stride = 2 * w + 1
-    for c in range(min(stride, d)):
-        image = op(functools.reduce(operator.add, sector.states[c::stride]))
+    groups = [functools.reduce(operator.add, sector.states[c::stride])
+              for c in range(min(stride, d))]
+    images = op.each(groups) if isinstance(op, SuperOp) else map(op, groups)
+    for c, image in enumerate(images):
         col = space.ip.by_shell(total, image)[shells]
         for b in range(c, d, stride):
             a = slice(max(b - w, 0), min(b + w + 1, d))
@@ -214,7 +218,6 @@ class SpectrumResult:
     potential: str
     boundary: str
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
     metadata: dict = field(default_factory=dict)
 
     def rows(self) -> List[dict]:
@@ -240,11 +243,11 @@ def solve_sector(space: Space, j: int, potential: Optional[RadialFunction] = Non
                  m: Optional[int] = None, boundary: str = "hard") -> SpectrumResult:
     """Diagonalize the closed-form radial Hamiltonian of the (j, m) sector."""
     mat, grid = radial_hamiltonian(space, j, potential, boundary, m)
-    evals, evecs = eigen_solve(mat)
+    evals, _evecs = eigen_solve(mat)
     return SpectrumResult(
         lam=space.lam, n_max=space.n_max, j=j,
         potential=potential.name if potential is not None else "free",
-        boundary=boundary, eigenvalues=evals, eigenvectors=evecs,
+        boundary=boundary, eigenvalues=evals,
         metadata={"grid": grid.tolist()})
 
 

@@ -483,6 +483,71 @@ def test_mixed_charge_states_apply_every_charge():
             op.name
 
 
+def _bits(state):
+    """The dense array of a state as raw 64-bit words (bit-for-bit compare)."""
+    return state.matrix.toarray().view(np.uint64)
+
+
+def _stackable_states(space):
+    """Sparse states of charge -1, 0 and 1, and their mixed-charge sum."""
+    import scipy.sparse as sp
+    states = [space.state(sp.csr_matrix(space.random_state(70 + k, k, 8).matrix))
+              for k in (-1, 0, 1)]
+    return states + [states[0] + states[1] + states[2]]
+
+
+def test_stacked_walk_equals_single_walks_bit_for_bit():
+    from fuzzylab import identities as idn
+    from fuzzylab.algebra import to_superop
+
+    space = Space(10, 0.3)
+    states = _stackable_states(space)
+    ops = _every_space_operator(space) + [
+        to_superop(idn.velocity_op(2), space),
+        space.ladder("L", 1, False) + space.ladder("L", 1, True)]
+    for op in ops:
+        images = op.each(states)
+        assert len(images) == len(states)
+        for got, psi in zip(images, states):
+            assert got.parts is None and got.matrix.shape == psi.matrix.shape
+            assert np.array_equal(_bits(got), _bits(op(psi))), op.name
+    # a stack of one is the single walk
+    psi = states[1]
+    for op in ops:
+        assert np.array_equal(_bits(op.each([psi])[0]), _bits(op(psi))), op.name
+
+
+def test_stacked_walk_raises_the_single_walk_pole_error_from_any_block():
+    import scipy.sparse as sp
+
+    from fuzzylab.algebra import LAM, R, coeff, to_superop
+    space = Space(5, 0.5)
+    pole = to_superop(coeff(1 / (R - LAM)), space)  # a pole on row shell 0
+    hit = space.state(sp.csr_matrix(space.random_state(2, 0, 3).matrix))
+    safe = space.state(space.ad[0] @ hit.matrix)  # rows on shells >= 1
+    with pytest.raises(ValueError, match="pole") as single:
+        pole(hit)
+    for b in range(3):
+        stack = [safe, safe, safe]
+        stack[b] = hit
+        with pytest.raises(ValueError, match="pole") as stacked:
+            pole.each(stack)
+        assert str(stacked.value) == str(single.value)
+    for got in pole.each([safe, safe, safe]):
+        assert np.array_equal(_bits(got), _bits(pole(safe)))
+
+
+def test_space_ad_is_bit_identical_to_the_dagger_ladder_matrix():
+    from fuzzylab.fock import ladder_matrix
+    space = Space(9, 0.5)
+    for mode in (1, 2):
+        got = space.ad[mode - 1]
+        want = ladder_matrix(space.basis, mode, dagger=True).matrix
+        assert got.dtype == want.dtype and got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
 def test_mixed_shift_sum_applies_to_sparse_states_only():
     import scipy.sparse as sp
 

@@ -518,6 +518,27 @@ def test_per_shell_gram_equals_per_state_inner_products(n_max, lam):
             assert not np.any(np.delete(per_shell, shells))
 
 
+@pytest.mark.parametrize("n_max, lam", [(8, 0.5), (19, 0.4)])
+def test_one_pass_sector_norms_equal_per_state_norms(n_max, lam):
+    """build_sector normalizes every state from one per-shell product of the
+    raw states' sum; each state is bit-identical to s * (1 / ip.norm(s))."""
+    space = Space(n_max, lam)
+    for j in range(4):
+        for m in range(-j, j + 1):
+            for boundary in ("hard", "dirichlet"):
+                sector = spc.build_sector(space, j, m, boundary=boundary)
+                assert sector.dim == len(spc.sector_shells(n_max, j, m,
+                                                           boundary))
+                for n, state in enumerate(sector.states):
+                    s = spc.shell_state(space, j, m, n)
+                    want, got = (s * (1.0 / space.ip.norm(s))).matrix, state.matrix
+                    case = (j, m, boundary, n)
+                    assert np.array_equal(got.data.view(np.uint64),
+                                          want.data.view(np.uint64)), case
+                    assert np.array_equal(got.indices, want.indices), case
+                    assert np.array_equal(got.indptr, want.indptr), case
+
+
 def test_by_shell_sums_to_the_inner_product():
     space = Space(8, 0.5)
     phi = space.random_state(3, 0, 8)
