@@ -163,6 +163,16 @@ MUTANTS = [
      '("A", A_hat, -1)',
      '("A", A_hat, 1)',
      [TRANSCRIPTS]),
+    ("worst drops NaN", "report.py",
+     "math.nan if any(map(math.isnan, parts)) else max(parts)",
+     "max(parts)",
+     ["tests/test_checks.py::"
+      "test_worst_is_max_with_zero_and_nan_in_any_position_wins",
+      "tests/test_checks.py::test_a_nan_part_of_a_runner_fails_its_record"]),
+    ("eigenpair check lets NaN through", "spectra.py",
+     "np.flatnonzero(~(res <= 1e-8 * scale))",
+     "np.flatnonzero(res > 1e-8 * scale)",
+     ["tests/test_cli.py::test_non_finite_spectrum_is_an_error_line_and_exit_2"]),
 ]
 
 

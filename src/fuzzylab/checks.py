@@ -2,7 +2,9 @@
 
 Each check applies operators to random interior charge-zero states (or works
 at the matrix level for the coordinate algebra), reports a relative residual,
-and passes when the residual is below threshold.  Margins follow the
+and passes when the residual is below threshold.  A residual is the worst of
+its parts (``report.worst``): a NaN part makes it NaN (null in JSON), which
+fails the record.  Margins follow the
 bandwidth rule: a composition of maps with shell bandwidths b1, b2, ... is
 exact on states kept sum(b) shells away from the cutoff.
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .fock import EPS3, NCState, radial_grid, validate_lambda
 from .operators import RadialFunction, Space, SuperOp
-from .report import FORMATS, CheckRecord, VerificationReport
+from .report import FORMATS, CheckRecord, VerificationReport, worst
 from . import spectra as spc
 
 __all__ = ["CheckConfig", "CheckSkipped", "CHECK_IDS", "OPTIONS", "SUITES",
@@ -199,13 +201,10 @@ def _state_check(auto_margin: int, detail: str, floor: int = 0):
             states = _states(space, config, margin)
             norms = [space.ip.norm(psi) for psi in states]
             table = cases(space)
-            worst = 0.0
-            for case in table:
-                for psi, norm in zip(states, norms):
-                    for residual in case(psi, norm, margin):
-                        worst = max(worst, residual)
-            return worst, detail.format(margin=margin, states=len(states),
-                                        cases=len(table))
+            return worst(residual for case in table
+                         for psi, norm in zip(states, norms)
+                         for residual in case(psi, norm, margin)), \
+                detail.format(margin=margin, states=len(states), cases=len(table))
 
         return run
 
@@ -268,15 +267,15 @@ def _commutator_check(check_id: str, statement: str, auto_margin: int,
 
 def _run_coordinate_algebra(space: Space, config: CheckConfig):
     lam, x = space.lam, space.x
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            acc = x[i] @ x[j] - x[j] @ x[i]
-            for k in range(3):
-                if EPS3[i, j, k]:
-                    acc = acc - 2.0j * lam * EPS3[i, j, k] * x[k]
-            worst = max(worst, abs(acc).max())
-    return worst, "max over all index pairs, full truncated space"
+
+    def residual(i, j):
+        acc = x[i] @ x[j] - x[j] @ x[i]
+        for k in range(3):
+            if EPS3[i, j, k]:
+                acc = acc - 2.0j * lam * EPS3[i, j, k] * x[k]
+        return abs(acc).max()
+    return worst(residual(i, j) for i in range(3) for j in range(3)), \
+        "max over all index pairs, full truncated space"
 
 
 def _run_x_square(space: Space, config: CheckConfig):
@@ -289,24 +288,23 @@ def _run_x_square(space: Space, config: CheckConfig):
 def _run_ladder_algebra(space: Space, config: CheckConfig):
     proj = space.shell_diagonal(np.arange(space.n_max + 1) <= space.n_max - 1)
     eye = space.identity_state().matrix
-    worst = 0.0
-    for al in range(2):
-        for be in range(2):
-            comm = space.a[al] @ space.ad[be] - space.ad[be] @ space.a[al]
-            delta = eye if al == be else 0.0 * eye
-            worst = max(worst, abs(proj @ (comm - delta) @ proj).max())
-            worst = max(worst, abs(
-                space.a[al] @ space.a[be] - space.a[be] @ space.a[al]).max())
-            worst = max(worst, abs(
-                space.ad[al] @ space.ad[be] - space.ad[be] @ space.ad[al]).max())
-    return worst, "commutator relations, interior shells for [a, a+]"
+    a, ad = space.a, space.ad
+
+    def residuals(al, be):
+        comm = a[al] @ ad[be] - ad[be] @ a[al]
+        delta = eye if al == be else 0.0 * eye
+        return [abs(proj @ (comm - delta) @ proj).max(),
+                abs(a[al] @ a[be] - a[be] @ a[al]).max(),
+                abs(ad[al] @ ad[be] - ad[be] @ ad[al]).max()]
+    return worst(r for al in range(2) for be in range(2)
+                 for r in residuals(al, be)), \
+        "commutator relations, interior shells for [a, a+]"
 
 
 def _run_radial_scalar(space: Space, config: CheckConfig):
-    worst, _detail = _lab_r(space, config)
-    for xi in space.x:
-        worst = max(worst, abs(xi @ space.r - space.r @ xi).max())
-    return worst, "[x_j, r] = 0 and [L_ab, r] = 0"
+    return worst([_lab_r(space, config)[0],
+                  *(abs(xi @ space.r - space.r @ xi).max() for xi in space.x)]), \
+        "[x_j, r] = 0 and [L_ab, r] = 0"
 
 
 # ---- commutator rows: (A, B, terms) with [A, B] = sum(c * op for c, op in terms)
@@ -362,25 +360,24 @@ _lab_r = _commutator_runner(0, lambda s: [(s.so4_generator(a, b), s.radial(), ()
 
 def _run_velocity_on_coordinates(space: Space, config: CheckConfig):
     margin = _margin(config, 1)
-    worst = 0.0
     eye, xs = space.identity_state(), [space.state(x) for x in space.x]
-    for i in (1, 2, 3):
-        for j, got in enumerate(space.velocity(i).each(xs), 1):
-            want = (-1.0j if i == j else 0.0) * eye
-            worst = max(worst, _rel_residual(space, got - want, margin, [eye]))
-    return worst, "V_i x_j = -i delta_ij"
+    return worst(_rel_residual(space, got - (-1.0j if i == j else 0.0) * eye,
+                               margin, [eye])
+                 for i in (1, 2, 3)
+                 for j, got in enumerate(space.velocity(i).each(xs), 1)), \
+        "V_i x_j = -i delta_ij"
 
 
 def _run_velocity_on_radial(space: Space, config: CheckConfig):
     margin = _margin(config, 1)
     f_state = space.state((space.r @ space.r).astype(complex))
-    worst = 0.0
-    for j in (1, 2, 3):
+
+    def residual(j):
         got = space.velocity(j)(f_state)
-        want_mat = -1.0j * (space.x[j - 1] @ space.rinv) @ (2.0 * space.r)
-        want = space.state(want_mat)
-        worst = max(worst, _rel_residual(space, got - want, margin, [want]))
-    return worst, "V_j f(r) = -i (x_j / r) f'_lam(r) for f = r^2 (f'_lam = 2r)"
+        want = space.state(-1.0j * (space.x[j - 1] @ space.rinv) @ (2.0 * space.r))
+        return _rel_residual(space, got - want, margin, [want])
+    return worst(map(residual, (1, 2, 3))), \
+        "V_j f(r) = -i (x_j / r) f'_lam(r) for f = r^2 (f'_lam = 2r)"
 
 
 @_state_check(1, "-i[X_j, H0] = commutator form = cross form; V_4 both forms")
@@ -422,18 +419,18 @@ def _run_h0_forms(s: Space):
 def _run_leibniz(space: Space, config: CheckConfig):
     margin = _margin(config, 2)
     support = max(space.n_max - margin, 0)
-    worst = 0.0
-    for t in range(config.n_states):
-        A = space.random_state(config.seed + 10 * t, 0, support)
-        B = space.random_state(config.seed + 10 * t + 5, 0, support)
-        prod = A @ B
-        for i in (1, 2, 3):
-            vi = space.velocity(i)
-            lhs = vi(prod)
-            rhs = vi(A) @ B + A @ vi(B) + space.leibniz_correction(i, A, B)
-            worst = max(worst, _rel_residual(space, lhs - rhs, margin,
-                                             [lhs, rhs]))
-    return worst, "V_i(AB) = (V_i A)B + A(V_i B) + K_i(A, B)"
+
+    def residuals():
+        for t in range(config.n_states):
+            A = space.random_state(config.seed + 10 * t, 0, support)
+            B = space.random_state(config.seed + 10 * t + 5, 0, support)
+            prod = A @ B
+            for i in (1, 2, 3):
+                vi = space.velocity(i)
+                lhs = vi(prod)
+                rhs = vi(A) @ B + A @ vi(B) + space.leibniz_correction(i, A, B)
+                yield _rel_residual(space, lhs - rhs, margin, [lhs, rhs])
+    return worst(residuals()), "V_i(AB) = (V_i A)B + A(V_i B) + K_i(A, B)"
 
 
 @_state_check(2, "(K_i(x_j, psi) + K_i(psi, x_j))/2 = i delta_ij lam^2 H0 psi")
@@ -536,20 +533,19 @@ def _run_acc_full_h(s: Space):
 
 def _run_ip_axioms(space: Space, config: CheckConfig):
     states = _states(space, config, 0, at_least=2)  # pairs consecutive states
-    worst = 0.0
-    for t in range(len(states) - 1):
-        phi, psi = states[t], states[t + 1]
+    alpha, beta = 0.7 - 0.3j, -1.1 + 0.2j
+
+    def residuals(phi, psi):
         a = space.ip(phi, psi)
         b = space.ip(psi, phi)
-        worst = max(worst, abs(a - np.conj(b)))
-        alpha, beta = 0.7 - 0.3j, -1.1 + 0.2j
         lin = space.ip(phi, alpha * psi + beta * states[0])
         expect = alpha * space.ip(phi, psi) + beta * space.ip(phi, states[0])
-        worst = max(worst, abs(lin - expect))
         nrm = space.ip(psi, psi)
-        if nrm.real <= 0 or abs(nrm.imag) > 1e-12 * abs(nrm):
-            worst = max(worst, 1.0)
-    return worst, "conjugate symmetry, sesquilinearity, positivity"
+        positive = nrm.real > 0 and abs(nrm.imag) <= 1e-12 * abs(nrm)
+        return [abs(a - np.conj(b)), abs(lin - expect), 0.0 if positive else 1.0]
+    return worst(r for phi, psi in zip(states, states[1:])
+                 for r in residuals(phi, psi)), \
+        "conjugate symmetry, sesquilinearity, positivity"
 
 
 def _run_hermiticity(space: Space, config: CheckConfig):
@@ -557,31 +553,33 @@ def _run_hermiticity(space: Space, config: CheckConfig):
            space.position(1), space.position(2), space.position_left(3),
            space.radial(), space.velocity(1), space.velocity(3),
            space.velocity4(), space.free_hamiltonian()]
-    worst = 0.0
     by_margin = {}
-    for op in ops:
-        margin = max(_margin(config, op.bandwidth), op.bandwidth)
-        if margin not in by_margin:
-            by_margin[margin] = _states(space, config, margin, at_least=2)
-        states = by_margin[margin]
-        images = [op(s) for s in states]
-        for t in range(len(states) - 1):
-            phi, psi, op_psi = states[t], states[t + 1], images[t + 1]
-            a = space.ip(phi, op_psi)
-            b = space.ip(images[t], psi)
-            scale = max(space.ip.norm(op_psi) * space.ip.norm(phi), _TINY)
-            worst = max(worst, abs(a - b) / scale)
-    return worst, "<phi, O psi> = <O phi, psi> for L, X, V, V4, H0"
+
+    def residuals():
+        for op in ops:
+            margin = max(_margin(config, op.bandwidth), op.bandwidth)
+            if margin not in by_margin:
+                by_margin[margin] = _states(space, config, margin, at_least=2)
+            states = by_margin[margin]
+            images = [op(s) for s in states]
+            for t in range(len(states) - 1):
+                phi, psi, op_psi = states[t], states[t + 1], images[t + 1]
+                a = space.ip(phi, op_psi)
+                b = space.ip(images[t], psi)
+                scale = max(space.ip.norm(op_psi) * space.ip.norm(phi), _TINY)
+                yield abs(a - b) / scale
+    return worst(residuals()), "<phi, O psi> = <O phi, psi> for L, X, V, V4, H0"
+
+
+def _cutoff_excess(evals: np.ndarray, lam: float) -> float:
+    """How far a spectrum reaches outside the kinetic range [0, 2/lam^2],
+    in units of 1/lam^2."""
+    return worst([-evals.min(), evals.max() - 2.0 / lam**2]) * lam**2
 
 
 def _run_h0_positivity(space: Space, config: CheckConfig):
     sub = space if space.n_max <= 8 else Space(6, space.lam)
-    evals = spc.full_kappa0_spectrum(sub)
-    lam = sub.lam
-    bound = 2.0 / lam**2
-    low = max(0.0, -evals.min()) * lam**2
-    high = max(0.0, evals.max() - bound) * lam**2
-    return max(low, high), \
+    return _cutoff_excess(spc.full_kappa0_spectrum(sub), sub.lam), \
         f"kappa=0 spectrum of H0 inside [0, 2/lam^2] (n_max {sub.n_max})"
 
 
@@ -600,15 +598,12 @@ def _dirichlet_sectors(space: Space, js, least: int = 1) -> List[int]:
 
 
 def _run_spectrum_bound(space: Space, config: CheckConfig):
-    lam = space.lam
-    worst = 0.0
-    for j in _dirichlet_sectors(space, (0, 1, 2)):
-        for boundary in ("hard", "dirichlet"):
-            res = spc.solve_sector(space, j, None, boundary=boundary)
-            ev = res.eigenvalues
-            worst = max(worst, max(0.0, -ev.min()) * lam**2)
-            worst = max(worst, max(0.0, ev.max() - 2.0 / lam**2) * lam**2)
-    return worst, "free sector eigenvalues inside [0, 2/lam^2], j = 0, 1, 2"
+    return worst(_cutoff_excess(spc.solve_sector(space, j, None,
+                                                 boundary=boundary).eigenvalues,
+                                space.lam)
+                 for j in _dirichlet_sectors(space, (0, 1, 2))
+                 for boundary in ("hard", "dirichlet")), \
+        "free sector eigenvalues inside [0, 2/lam^2], j = 0, 1, 2"
 
 
 def _run_v2_consistency(space: Space, config: CheckConfig):
@@ -617,11 +612,9 @@ def _run_v2_consistency(space: Space, config: CheckConfig):
     if not sectors:
         raise CheckSkipped(f"no Dirichlet sector j = 0, 1, 2 has 3 radial "
                            f"states (n_max {space.n_max})")
-    worst = 0.0
-    for j in sectors:
-        for row in spc.v2_consistency(space, j):
-            worst = max(worst, row["interior_residual"] / row["scale"])
-    return worst, "sector V^2 eigen-action matches 2E - lam^2 E^2 (interior rows)"
+    return worst(row["interior_residual"] / row["scale"] for j in sectors
+                 for row in spc.v2_consistency(space, j)), \
+        "sector V^2 eigen-action matches 2E - lam^2 E^2 (interior rows)"
 
 
 def _config_potential(space: Space, config: CheckConfig) -> Optional[RadialFunction]:
@@ -633,20 +626,19 @@ def _run_m_independence(space: Space, config: CheckConfig):
     sectors = _dirichlet_sectors(space, (1, 2))
     if not sectors:
         raise CheckSkipped(f"no Dirichlet sector j = 1, 2 (n_max {space.n_max})")
-    across_m = closed = 0.0
+    across_m, closed = [], []
     pot = _config_potential(space, config)
     for j in sectors:
-        mats = []
-        for m in range(-j, j + 1):
-            sector = spc.build_sector(space, j, m, boundary="dirichlet")
-            mats.append(spc.reduce_hamiltonian(space, sector, pot))
+        mats = [spc.reduce_hamiltonian(
+                    space, spc.build_sector(space, j, m, boundary="dirichlet"), pot)
+                for m in range(-j, j + 1)]
         scale = max(np.abs(mats[0]).max(), _TINY)
-        for mat in mats[1:]:
-            across_m = max(across_m, np.abs(mat - mats[0]).max() / scale)
+        across_m += [np.abs(mat - mats[0]).max() / scale for mat in mats[1:]]
         form, _grid = spc.radial_hamiltonian(space, j, pot, "dirichlet")
-        closed = max(closed, np.abs(form - mats[-1]).max() / scale)
-    return max(across_m, closed), (f"reduced H across m levels {across_m:.1e}; "
-                                   f"closed form vs it at m = j {closed:.1e}")
+        closed.append(np.abs(form - mats[-1]).max() / scale)
+    across_m, closed = worst(across_m), worst(closed)
+    return worst([across_m, closed]), (f"reduced H across m levels {across_m:.1e}; "
+                                       f"closed form vs it at m = j {closed:.1e}")
 
 
 def _run_brute_force(space: Space, config: CheckConfig):
@@ -689,13 +681,11 @@ def _run_comm_limit(space: Space, config: CheckConfig):
         shell_r = radial_grid(lam, np.arange(n_max + 1))
         f_state = sub.state(sub.shell_diagonal(np.exp(-shell_r)))
         df_diag = sub.shell_diagonal(-np.exp(-shell_r))  # exact d/dr of exp(-r)
-        worst = 0.0
-        for jdir in (1, 2, 3):
-            got = sub.velocity(jdir)(f_state)
-            want = sub.state(-1.0j * ((sub.x[jdir - 1] @ sub.rinv) @ df_diag))
-            worst = max(worst, _rel_residual(sub, got - want, 2,
-                                             [sub.interior(want, 2)]))
-        residuals.append(worst)
+        wants = [sub.state(-1.0j * ((x @ sub.rinv) @ df_diag)) for x in sub.x]
+        residuals.append(worst(
+            _rel_residual(sub, sub.velocity(jdir)(f_state) - want, 2,
+                          [sub.interior(want, 2)])
+            for jdir, want in enumerate(wants, 1)))
     rate = residuals[0] / max(residuals[-1], _TINY)
     detail = ("lam 0.2 -> 0.05 residuals " +
               ", ".join(f"{x:.2e}" for x in residuals) +
@@ -762,7 +752,6 @@ def _run_pauli_lemmas(space: Space, config: CheckConfig):
 def _run_cross_validation(space: Space, config: CheckConfig):
     from . import identities as idn
     sub = Space(8, space.lam)
-    worst = 0.0
     pairs = [
         (idn.velocity_op(3), sub.velocity(3)),
         (idn.velocity_op(1), sub.velocity(1)),
@@ -770,17 +759,15 @@ def _run_cross_validation(space: Space, config: CheckConfig):
         (idn.velocity4_op(), sub.velocity4()),
         (idn.w_vector_op(2), sub.w_vector(2)),
     ]
-    for expr, ref in pairs:
-        worst = max(worst, idn.cross_validate(expr, sub, reference=ref,
-                                              seed=config.seed))
-    for name in idn.IDENTITY_NAMES:
-        res = idn.check_identity(name)
-        for key, residual in res.residuals.items():
-            worst = max(worst, idn.cross_validate(
-                residual, sub, reference=None,
-                potential=(lambda rr: rr**2) if name == "acceleration" else None,
-                seed=config.seed))
-    return worst, "symbolic operators vs numeric twins at n_max = 8"
+    parts = [idn.cross_validate(expr, sub, reference=ref, seed=config.seed)
+             for expr, ref in pairs]
+    parts += [idn.cross_validate(
+        residual, sub, reference=None,
+        potential=(lambda rr: rr**2) if name == "acceleration" else None,
+        seed=config.seed)
+        for name in idn.IDENTITY_NAMES
+        for residual in idn.check_identity(name).residuals.values()]
+    return worst(parts), "symbolic operators vs numeric twins at n_max = 8"
 
 
 # ---- diagnostics ------------------------------------------------------------------

@@ -12,9 +12,11 @@ comma-separated lists, ``tol.<check_id>`` overrides); command-line flags win
 over file values.  Exit status is zero iff every non-diagnostic check passed
 and no check (diagnostics included) raised an error or declared a skip.
 
-A rejected input (each is checked by the module that owns it: lambda by
-``fock.validate_lambda``, j and the cutoff by ``spectra.sector_shells``) and
-an output file that cannot be written give one ``error:`` line and exit 2.
+Any ``ValueError`` while a command runs, whether from a rejected input (each
+is checked by the module that owns it: lambda by ``fock.validate_lambda``, j
+and the cutoff by ``spectra.sector_shells``) or from a numeric failure (a
+non-finite eigenpair, say), and an output file that cannot be written give
+one ``error:`` line and exit 2; ``main`` is the one place that says so.
 """
 
 from __future__ import annotations
@@ -135,12 +137,8 @@ def _config_from_args(args) -> CheckConfig:
 
 
 def _cmd_check(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-        report = run_suite(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _config_from_args(args)
+    report = run_suite(cfg)
     _emit(emit_report(report, cfg.fmt), cfg.out)
     if cfg.out:
         print(emit_report(report, "text").splitlines()[-1])
@@ -155,8 +153,7 @@ def _cmd_prove(args) -> int:
         try:
             res = idn.check_identity(name)
         except KeyError as exc:  # str() of a KeyError quotes its message
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+            raise ValueError(exc.args[0]) from None
         chunks.append(res.transcript())
         all_ok = all_ok and res.ok
         print(f"{name}: {'proved' if res.ok else 'FAILED'}")
@@ -186,21 +183,17 @@ def _convergence_csv(records) -> List[str]:
 
 
 def _cmd_spectrum(args) -> int:
-    try:
-        lams = [float(v) for v in args.lam.split(",")]
-        n_maxes = [int(v) for v in args.nmax.split(",")]
-        if len(n_maxes) == 1:
-            n_maxes = n_maxes * len(lams)
-        if len(n_maxes) != len(lams):
-            raise ValueError("--nmax needs one value, or one per --lambda entry")
-        points = list(zip(lams, n_maxes))
-        j = _check_points(points, args.j, args.boundary)[0].start
-        if args.out and len(lams) > 1:  # the table uses the Dirichlet wall
-            _check_points(points, args.j)
-        fn = potential_fn(args.potential, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lams = [float(v) for v in args.lam.split(",")]
+    n_maxes = [int(v) for v in args.nmax.split(",")]
+    if len(n_maxes) == 1:
+        n_maxes = n_maxes * len(lams)
+    if len(n_maxes) != len(lams):
+        raise ValueError("--nmax needs one value, or one per --lambda entry")
+    points = list(zip(lams, n_maxes))
+    j = _check_points(points, args.j, args.boundary)[0].start
+    if args.out and len(lams) > 1:  # the table uses the Dirichlet wall
+        _check_points(points, args.j)
+    fn = potential_fn(args.potential, args.q)
     for lam, n_max in points:
         space = Space(n_max, lam)
         result = spc.solve_sector(space, j, space.sample(fn, args.potential),
@@ -231,15 +224,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    try:
-        schedule = _parse_schedule(args.schedule)
-        shells = _check_points(schedule, args.j)
-        if args.levels < 1:
-            raise ValueError(f"--levels must be >= 1; got {args.levels}")
-        fn = potential_fn(args.potential, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    schedule = _parse_schedule(args.schedule)
+    shells = _check_points(schedule, args.j)
+    if args.levels < 1:
+        raise ValueError(f"--levels must be >= 1; got {args.levels}")
+    fn = potential_fn(args.potential, args.q)
     records = spc.convergence_study(schedule, shells[0].start, fn,
                                     args.potential, levels=args.levels)
     # a sector has one level per radial state, that is per shell
@@ -271,7 +260,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "spectrum": _cmd_spectrum, "converge": _cmd_converge}
     try:
         return commands[args.command](args)
-    except OSError as exc:  # an unreadable config or an unwritable output
+    except (ValueError, OSError) as exc:
+        # a rejected input, a numeric failure, or a file that cannot be read
+        # or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,7 @@ from sympy import Rational
 from .fock import EPS3
 from .algebra import (LAM, R, UFUN, AlgebraExpr, aL, aL_dag, aR, aR_dag,
                       coeff, expr_to_text, one, to_superop)
+from .report import worst
 
 __all__ = [
     "PAULI_SYM",
@@ -394,12 +395,11 @@ def cross_validate(expr: AlgebraExpr, space, reference=None,
     """
     op = to_superop(expr, space, potential=potential)
     margin = op.bandwidth + (reference.bandwidth if reference is not None else 0)
-    worst = 0.0
-    for s in range(4):
+
+    def deviation(s):
         psi = space.random_state(seed + s, kappa=0,
                                  support_max=space.n_max - margin)
         lhs = op(psi)
         diff = lhs - reference(psi) if reference is not None else lhs
-        diff = space.interior(diff, margin)
-        worst = max(worst, space.ip.norm(diff))
-    return worst
+        return space.ip.norm(space.interior(diff, margin))
+    return worst(map(deviation, range(4)))

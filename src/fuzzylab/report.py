@@ -10,10 +10,10 @@ import platform
 import sys
 from dataclasses import asdict, dataclass, field
 from importlib import metadata
-from typing import List
+from typing import Iterable, List
 
 __all__ = ["CheckRecord", "VerificationReport", "emit_report",
-           "report_from_json", "environment_fingerprint",
+           "report_from_json", "environment_fingerprint", "worst",
            "CSV_COLUMNS", "FORMATS", "SCHEMA_VERSION"]
 
 #: the formats ``emit_report`` renders
@@ -21,6 +21,13 @@ FORMATS = ("json", "csv", "text")
 
 #: v2 adds the record ``status`` and writes non-finite numbers as null
 SCHEMA_VERSION = 2
+
+
+def worst(parts: Iterable[float]) -> float:
+    """The worst residual: the largest of 0.0 and ``parts``, or NaN if any
+    part is NaN (Python's ``max`` keeps its first argument against a NaN)."""
+    parts = [0.0, *parts]
+    return math.nan if any(map(math.isnan, parts)) else max(parts)
 
 
 def environment_fingerprint() -> dict:

@@ -199,11 +199,11 @@ def reduce_superop(space: Space, sector: AngularSector, op: SuperOp) -> np.ndarr
 def reduce_hamiltonian(space: Space, sector: AngularSector,
                        potential: Optional[RadialFunction] = None) -> np.ndarray:
     """Reduced H = H0 + U(r); hermitian to machine precision by construction
-    (an error above 1e-12 of the largest entry raises)."""
+    (an error above 1e-12 of the largest entry, or NaN, raises)."""
     mat = reduce_superop(space, sector, space.hamiltonian(potential))
     scale = max(np.abs(mat).max(), 1.0)
     herm_err = np.abs(mat - mat.conj().T).max() / scale
-    if herm_err > 1e-12:
+    if not herm_err <= 1e-12:  # NaN fails too
         raise ValueError(f"reduced Hamiltonian not hermitian (err {herm_err:.2e})")
     return 0.5 * (mat + mat.conj().T)
 
@@ -228,11 +228,11 @@ class SpectrumResult:
 
 def eigen_solve(matrix: np.ndarray) -> tuple:
     """Ascending eigensystem of a hermitian matrix; an eigenpair residual
-    above 1e-8 of the largest entry raises."""
+    above 1e-8 of the largest entry, or NaN, raises."""
     evals, evecs = np.linalg.eigh(matrix)
     scale = max(np.abs(matrix).max(), 1.0)
     res = np.abs(matrix @ evecs - evecs * evals).max(axis=0)
-    bad = np.flatnonzero(res > 1e-8 * scale)
+    bad = np.flatnonzero(~(res <= 1e-8 * scale))  # NaN fails too
     if bad.size:
         k = bad[0]
         raise ValueError(f"eigenpair {k} residual {res[k]:.2e} exceeds tolerance")

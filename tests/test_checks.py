@@ -1,6 +1,7 @@
 """The commutator table, the per-grid-point Space and declared skips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fuzzylab import checks
 from fuzzylab.checks import CheckConfig, run_suite
 from fuzzylab.cli import main
 from fuzzylab.operators import Space
-from fuzzylab.report import report_from_json
+from fuzzylab.report import report_from_json, worst
 
 
 def _flip_first_coefficient(rows):
@@ -332,3 +333,29 @@ def test_sector_runners_keep_the_old_cutoff_rules(monkeypatch):
             assert spy.seen == want, (runner.__name__, n_max)
             # the bound check has no skip: it reports 0 with no sector
             assert skipped == (not want and runner is not checks._run_spectrum_bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False)), st.integers(min_value=0))
+def test_worst_is_max_with_zero_and_nan_in_any_position_wins(parts, at):
+    assert worst([]) == 0.0
+    assert worst(parts).hex() == max([0.0, *parts]).hex()
+    assert worst(iter(parts)).hex() == max([0.0, *parts]).hex()
+    with_nan = list(parts)
+    with_nan.insert(at % (len(parts) + 1), float("nan"))
+    assert math.isnan(worst(with_nan))
+    assert math.isnan(worst(np.asarray(with_nan)))
+
+
+def test_a_nan_part_of_a_runner_fails_its_record(monkeypatch):
+    reduce = checks.spc.reduce_hamiltonian
+    monkeypatch.setattr(checks.spc, "reduce_hamiltonian",
+                        lambda *args: reduce(*args) * np.nan)
+    report = run_suite(CheckConfig(suites=("spectra",), lams=(0.5,),
+                                   n_maxes=(4,), n_states=1))
+    (record,) = [r for r in report.records
+                 if r.check_id == "spectra.m_independence"]
+    assert math.isnan(record.residual)
+    assert record.status == "fail" and not report.passed
+    assert [r["residual"] for r in _strict_json(report.to_json())["records"]
+            if r["check_id"] == "spectra.m_independence"] == [None]

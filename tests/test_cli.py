@@ -499,3 +499,23 @@ def test_cli_prove_unknown_identity_prints_the_plain_message(capsys):
         "error: unknown identity 'bogus'; have ['acceleration', "
         "'correction-sum', 'quadratic-relation', 'velocity-commutator', "
         "'velocity-form']\n")
+
+
+def test_check_with_a_non_finite_hamiltonian_fails_m_independence(capsys):
+    code = main(["check", "--q", "1e308", "--suite", "spectra",
+                 "--format", "json"])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    (record,) = [r for r in payload["records"]
+                 if r["check_id"] == "spectra.m_independence"]
+    assert record["status"] != "pass" and record["residual"] is None
+
+
+@pytest.mark.parametrize("command", ["spectrum", "converge"])
+def test_non_finite_spectrum_is_an_error_line_and_exit_2(command, capsys):
+    code = main([command, "--potential", "coulomb", "--q", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error:")
+    assert "Traceback" not in captured.err
