@@ -172,7 +172,17 @@ MUTANTS = [
     ("eigenpair check lets NaN through", "spectra.py",
      "np.flatnonzero(~(res <= 1e-8 * scale))",
      "np.flatnonzero(res > 1e-8 * scale)",
-     ["tests/test_cli.py::test_non_finite_spectrum_is_an_error_line_and_exit_2"]),
+     ["tests/test_spectra.py::test_eigen_solve_raises_on_a_matrix_holding_nan"]),
+    ("non-finite potential accepted", "operators.py",
+     "np.isfinite(self.values))\n        if bad.size:",
+     "np.isfinite(self.values))\n        if False:",
+     ["tests/test_operators.py::"
+      "test_radial_function_rejects_non_finite_values_naming_the_shell"]),
+    ("records keep the caller's j", "spectra.py",
+     "j=result.j",
+     "j=j",
+     ["tests/test_spectra.py::"
+      "test_sector_results_and_records_hold_j_as_an_int"]),
 ]
 
 

@@ -13,10 +13,12 @@ over file values.  Exit status is zero iff every non-diagnostic check passed
 and no check (diagnostics included) raised an error or declared a skip.
 
 Any ``ValueError`` while a command runs, whether from a rejected input (each
-is checked by the module that owns it: lambda by ``fock.validate_lambda``, j
-and the cutoff by ``spectra.sector_shells``) or from a numeric failure (a
-non-finite eigenpair, say), and an output file that cannot be written give
-one ``error:`` line and exit 2; ``main`` is the one place that says so.
+is checked where it enters the library: lambda by ``fock.validate_lambda``,
+a sampled potential by ``RadialFunction``, j and the cutoff by
+``spectra.sector_shells``) or from a numeric failure (a non-finite eigenpair,
+say), and an output file that cannot be written give one ``error:`` line and
+exit 2; ``main`` is the one place that says so.  ``spectrum`` and ``converge``
+solve every point before they write any, so such a failure writes nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import List, Optional
 from . import __version__
 from .checks import (OPTIONS, CheckConfig, parse_config_text, potential_fn,
                      run_suite)
-from .fock import validate_lambda
 from .operators import Space
 from .report import FORMATS, emit_report
 from . import spectra as spc
@@ -43,16 +44,6 @@ def _parse_schedule(text: str) -> List[tuple]:
     except ValueError:
         msg = f"bad schedule {text!r}; want lam:n_max[,lam:n_max...]"
         raise ValueError(msg) from None
-
-
-def _check_points(points, j: float, boundary: str = "dirichlet") -> List[range]:
-    """Reject (lambda, n_max) points the j sector cannot be solved on; return
-    the sector's shells at each point."""
-    shells = []
-    for lam, n_max in points:
-        validate_lambda(lam)
-        shells.append(spc.sector_shells(n_max, j, 0, boundary))
-    return shells
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -190,15 +181,13 @@ def _cmd_spectrum(args) -> int:
     if len(n_maxes) != len(lams):
         raise ValueError("--nmax needs one value, or one per --lambda entry")
     points = list(zip(lams, n_maxes))
-    j = _check_points(points, args.j, args.boundary)[0].start
-    if args.out and len(lams) > 1:  # the table uses the Dirichlet wall
-        _check_points(points, args.j)
     fn = potential_fn(args.potential, args.q)
+    outputs = []  # (text, path) of every point, solved before any is written
     for lam, n_max in points:
         space = Space(n_max, lam)
-        result = spc.solve_sector(space, j, space.sample(fn, args.potential),
+        result = spc.solve_sector(space, args.j, space.sample(fn, args.potential),
                                   boundary=args.boundary)
-        payload = _spectrum_payload(result)
+        payload, j = _spectrum_payload(result), result.j
         if args.fmt == "json":
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         else:
@@ -214,27 +203,29 @@ def _cmd_spectrum(args) -> int:
                 lines += [f"level {k}: {e!r}"
                           for k, e in enumerate(payload["levels"])]
             text = "\n".join(lines) + "\n"
-        _emit(text, args.out and f"{args.out}.lam{lam}.j{j}.{args.fmt}")
+        outputs.append((text, args.out and f"{args.out}.lam{lam}.j{j}.{args.fmt}"))
     if args.out and len(lams) > 1:
         # a schedule was given: emit the oracle-comparison table alongside
-        records = spc.convergence_study(points, j, fn, args.potential)
-        _emit("\n".join(_convergence_csv(records)) + "\n",
-              f"{args.out}.convergence.csv")
+        records = spc.convergence_study(points, args.j, fn, args.potential)
+        outputs.append(("\n".join(_convergence_csv(records)) + "\n",
+                        f"{args.out}.convergence.csv"))
+    for text, path in outputs:
+        _emit(text, path)
     return 0
 
 
 def _cmd_converge(args) -> int:
     schedule = _parse_schedule(args.schedule)
-    shells = _check_points(schedule, args.j)
     if args.levels < 1:
         raise ValueError(f"--levels must be >= 1; got {args.levels}")
     fn = potential_fn(args.potential, args.q)
-    records = spc.convergence_study(schedule, shells[0].start, fn,
-                                    args.potential, levels=args.levels)
+    records = spc.convergence_study(schedule, args.j, fn, args.potential,
+                                    levels=args.levels)
     # a sector has one level per radial state, that is per shell
-    short = [f"{lam!r}:{n_max} (has {len(sh)})"
-             for (lam, n_max), sh in zip(schedule, shells)
-             if len(sh) < args.levels]
+    sizes = [(lam, n_max, len(spc.sector_shells(n_max, args.j, 0, "dirichlet")))
+             for lam, n_max in schedule]
+    short = [f"{lam!r}:{n_max} (has {size})" for lam, n_max, size in sizes
+             if size < args.levels]
     if short:
         print(f"note: fewer than {args.levels} levels at " + ", ".join(short),
               file=sys.stderr)

@@ -187,12 +187,8 @@ class FockBasis:
         new = m.indices[nz]
         row, col = (new, src.cols[entry]) if left else (src.rows[entry], new)
         out = dst.offset[row] + col - shell_start(shells[col])
-        # entries come by ascending input position, so a stable sort by output
-        # position leaves each row's columns ascending
-        order = np.argsort(out, kind="stable")
-        indptr = np.zeros(dst.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(out, minlength=dst.size), out=indptr[1:])
-        return k, sp.csr_matrix((m.data[nz][order], entry[order], indptr),
+        # entries come by ascending input position, so each row stays sorted
+        return k, sp.csr_matrix((m.data[nz], (out, entry)),
                                 shape=(dst.size, src.size))
 
     def block_diagonal(self, mats) -> sp.csr_matrix:

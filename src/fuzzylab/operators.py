@@ -241,6 +241,10 @@ class RadialFunction:
 
     def __post_init__(self):
         validate_lambda(self.lam)
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"{self.name} is not finite on shell {bad[0]}: "
+                             f"{float(self.values[bad[0]])!r}")
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float], lam: float, n_max: int,

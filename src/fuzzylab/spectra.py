@@ -241,11 +241,12 @@ def eigen_solve(matrix: np.ndarray) -> tuple:
 
 def solve_sector(space: Space, j: int, potential: Optional[RadialFunction] = None,
                  m: Optional[int] = None, boundary: str = "hard") -> SpectrumResult:
-    """Diagonalize the closed-form radial Hamiltonian of the (j, m) sector."""
+    """Diagonalize the closed-form radial Hamiltonian of the (j, m) sector;
+    the result holds j as an int (``radial_hamiltonian`` has checked it)."""
     mat, grid = radial_hamiltonian(space, j, potential, boundary, m)
     evals, _evecs = eigen_solve(mat)
     return SpectrumResult(
-        lam=space.lam, n_max=space.n_max, j=j,
+        lam=space.lam, n_max=space.n_max, j=int(j),
         potential=potential.name if potential is not None else "free",
         boundary=boundary, eigenvalues=evals,
         metadata={"grid": grid.tolist()})
@@ -341,12 +342,12 @@ def convergence_study(schedule: Sequence[tuple], j: int,
         sector_grid = np.asarray(result.metadata["grid"])
         # the sector's shells are j, j + 1, ...: U on them is already sampled
         uvals = None if potential is None else \
-            potential.values[int(j):int(j) + len(sector_grid)]
-        oracle = commutative_oracle(sector_grid, lam, j, uvals)
+            potential.values[result.j:result.j + len(sector_grid)]
+        oracle = commutative_oracle(sector_grid, lam, result.j, uvals)
         for level in range(min(levels, len(result.eigenvalues))):
             e_nc = float(result.eigenvalues[level])
             e_or = float(oracle[level])
             records.append(ConvergenceRecord(
-                lam=lam, n_max=n_max, j=j, level=level,
+                lam=lam, n_max=n_max, j=result.j, level=level,
                 energy_nc=e_nc, energy_oracle=e_or, gap=abs(e_nc - e_or)))
     return records

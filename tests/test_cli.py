@@ -519,3 +519,20 @@ def test_non_finite_spectrum_is_an_error_line_and_exit_2(command, capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    # the potential overflows at lam = 0.04 only, after lam = 0.5 has solved
+    ["--potential", "coulomb", "--q", "1e307", "--lambda", "0.5,0.04",
+     "--nmax", "5,5", "--format", "csv"],
+    # the second point cannot hold the j = 1 sector
+    ["--j", "1", "--lambda", "0.5,0.4", "--nmax", "8,0"],
+])
+def test_spectrum_that_fails_at_a_later_point_writes_nothing(
+        argv, tmp_path, capsys):
+    assert main(["spectrum", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error:")
+    assert main(["spectrum", *argv, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []

@@ -595,3 +595,11 @@ def test_radial_function_rejects_a_bad_lambda(lam):
     with pytest.raises(ValueError, match="lambda must be finite and > 0"):
         RadialFunction.from_callable(lambda r: sampled.append(r) or r, lam, 4)
     assert sampled == []
+
+
+@pytest.mark.parametrize("bad, text", [(np.nan, "nan"), (np.inf, "inf"),
+                                       (-np.inf, "-inf")])
+def test_radial_function_rejects_non_finite_values_naming_the_shell(bad, text):
+    with pytest.raises(ValueError) as err:
+        RadialFunction(values=np.array([1.0, 2.0, bad, 3.0]), lam=0.5, name="u")
+    assert str(err.value) == f"u is not finite on shell 2: {text}"

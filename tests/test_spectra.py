@@ -625,3 +625,17 @@ def test_sector_shells_is_the_sector_rule():
     with pytest.raises(ValueError, match=r"n_max too small: j=8 with the "
                                          r"dirichlet boundary needs n_max >= 9"):
         spc.sector_shells(8, 8.0, 0, "dirichlet")
+
+
+def test_sector_results_and_records_hold_j_as_an_int():
+    res = spc.solve_sector(Space(8, 0.5), 1.0, boundary="dirichlet")
+    assert type(res.j) is int and res.j == 1
+    recs = spc.convergence_study([(0.5, 7), (0.25, 15)], 1.0)
+    assert len(recs) == 6
+    assert all(type(r.j) is int and r.j == 1 for r in recs)
+
+
+def test_eigen_solve_raises_on_a_matrix_holding_nan():
+    # eigh passes the NaN through; the eigenpair residual must catch it
+    with pytest.raises(ValueError, match="eigenpair 0 residual nan"):
+        spc.eigen_solve(np.diag([1.0, 2.0, np.nan]))
