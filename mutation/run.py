@@ -183,6 +183,14 @@ MUTANTS = [
      "j=j",
      ["tests/test_spectra.py::"
       "test_sector_results_and_records_hold_j_as_an_int"]),
+    ("V2H target with +lam^2 H0^2", "checks.py",
+     "- s.lam**2 * (s.free_hamiltonian() @ s.free_hamiltonian())",
+     "+ s.lam**2 * (s.free_hamiltonian() @ s.free_hamiltonian())",
+     ["tests/test_checks.py::test_every_equation_check_is_exact[quadratic.V2H]"]),
+    ("velocity form against +i[X_j, H0]", "checks.py",
+     "-1.0j * s.position(j).commutator(s.free_hamiltonian())",
+     "1.0j * s.position(j).commutator(s.free_hamiltonian())",
+     ["tests/test_cli.py::test_cli_check_fixed_margin_reaches_commutator_records"]),
 ]
 
 

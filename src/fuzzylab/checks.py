@@ -6,7 +6,9 @@ and passes when the residual is below threshold.  A residual is the worst of
 its parts (``report.worst``): a NaN part makes it NaN (null in JSON), which
 fails the record.  Margins follow the
 bandwidth rule: a composition of maps with shell bandwidths b1, b2, ... is
-exact on states kept sum(b) shells away from the cutoff.
+exact on states kept sum(b) shells away from the cutoff.  Operator identities
+are tables of rows: (A, B, terms) for [A, B] = sum(c * op), and (A, B) for
+A psi = B psi, relative to the largest of |A psi|, |B psi| and |psi|.
 
 Suites: kinematics, e4, velocity, quadratic, acceleration, hermiticity,
 spectra, symbolic, plus the expected-nonzero diagnostics.
@@ -188,7 +190,9 @@ def _commutator_residual(space: Space, A: SuperOp, B: SuperOp,
     return [_rel_residual(space, diff, margin, scales, psi_norm)]
 
 
-def _state_check(auto_margin: int, detail: str, floor: int = 0):
+def _state_check(auto_margin: int,
+                 detail: str = "margin {margin}, {states} states, {cases} rows",
+                 floor: int = 0):
     """Decorator making a runner of ``cases(space)``: functions
     (psi, |psi|, margin) -> relative residuals.  The runner returns the worst
     residual over every case (outer) and random state (inner), at a margin
@@ -220,8 +224,7 @@ def _commutator_runner(auto_margin: int, rows: Callable[[Space], list]):
         return [functools.partial(_commutator_residual, space, A, B, terms, cache)
                 for A, B, terms in rows(space)]
 
-    return _state_check(auto_margin, "margin {margin}, {states} states, "
-                                     "{cases} rows")(cases)
+    return _state_check(auto_margin)(cases)
 
 
 def _pair(space: Space, op_a: SuperOp, op_b: SuperOp):
@@ -260,6 +263,14 @@ def _commutator_check(check_id: str, statement: str, auto_margin: int,
                       rows: Callable[[Space], list]) -> CheckSpec:
     """One commutator check: ``rows(space)`` lists its (A, B, terms)."""
     return CheckSpec(check_id, statement, _commutator_runner(auto_margin, rows))
+
+
+def _equation_check(check_id: str, statement: str, auto_margin: int,
+                    rows: Callable[[Space], list], floor: int = 0) -> CheckSpec:
+    """One operator-equation check: ``rows(space)`` lists its (A, B), each
+    meaning A psi = B psi, at a margin of at least ``floor``."""
+    return CheckSpec(check_id, statement, _state_check(auto_margin, floor=floor)(
+        lambda s: [_pair(s, A, B) for A, B in rows(s)]))
 
 
 # ---- kinematics (matrix level + L/X families) -------------------------------
@@ -380,25 +391,6 @@ def _run_velocity_on_radial(space: Space, config: CheckConfig):
         "V_j f(r) = -i (x_j / r) f'_lam(r) for f = r^2 (f'_lam = 2r)"
 
 
-@_state_check(1, "-i[X_j, H0] = commutator form = cross form; V_4 both forms")
-def _run_velocity_forms(s: Space):
-    h0 = s.free_hamiltonian()
-
-    def forms(j):
-        vj, vjw, xj = s.velocity(j), s.velocity_w_form(j), s.position(j)
-
-        def case(psi, _norm, margin):
-            direct, a = -1.0j * (xj(h0(psi)) - h0(xj(psi))), vj(psi)
-            return [_rel_residual(s, a - vjw(psi), margin, [a]),
-                    _rel_residual(s, a - direct, margin, [a])]
-        return case
-
-    def cross(psi, _norm, margin):
-        a = s.velocity4()(psi)
-        return [_rel_residual(s, a - s.velocity4_cross_form()(psi), margin, [a])]
-    return [forms(j) for j in (1, 2, 3)] + [cross]
-
-
 @_state_check(1, "double-commutator H0 equals (2r/lam - a+.b - b+.a)/(2 lam r)")
 def _run_h0_forms(s: Space):
     """H0 psi against the bilinear form, made of state products."""
@@ -459,41 +451,6 @@ def _run_kzero_identity(s: Space):
 # ---- quadratic relations -------------------------------------------------------
 
 
-def _v_squared(space: Space, psi: NCState) -> NCState:
-    """V^2 psi = sum_j V_j V_j psi, summed in order j = 1, 2, 3."""
-    vs = [space.velocity(j) for j in (1, 2, 3)]
-    return functools.reduce(operator.add, (v(v(psi)) for v in vs))
-
-
-@_state_check(2, "V^2 = 2 H0 - lam^2 H0^2")
-def _run_v2h(s: Space):
-    h0 = s.free_hamiltonian()
-
-    def case(psi, _norm, margin):
-        v2, h = _v_squared(s, psi), h0(psi)
-        want = 2.0 * h - s.lam**2 * h0(h)
-        return [_rel_residual(s, v2 - want, margin, [v2, want])]
-    return [case]
-
-
-@_state_check(2, "(1/lam - lam H0)^2 = 1/lam^2 - V^2")
-def _run_vvh(s: Space):
-    v4 = s.velocity4()
-
-    def case(psi, _norm, margin):
-        lhs, rhs = v4(v4(psi)), (1.0 / s.lam**2) * psi - _v_squared(s, psi)
-        return [_rel_residual(s, lhs - rhs, margin, [lhs, rhs])]
-    return [case]
-
-
-@_state_check(2, "C_2 = V_a V_a = 1/lam^2")
-def _run_casimir2(s: Space):
-    def case(psi, _norm, margin):
-        want = (1.0 / s.lam**2) * psi
-        return [_rel_residual(s, s.casimir2()(psi) - want, margin, [want])]
-    return [case]
-
-
 @_state_check(1, "Lambda_a = 0 on charge-zero states, a = 1..4")
 def _run_pauli_lubanski(s: Space):
     # the velocity scale 1/lam keeps the check relative
@@ -503,15 +460,11 @@ def _run_pauli_lubanski(s: Space):
 # ---- acceleration ---------------------------------------------------------------
 
 
-def _run_acceleration(name: str):
-    """Runner of -i[V_i, U] against its decomposition for the potential
-    ``name``."""
-    @_state_check(2, "margin {margin}, potential " + name, floor=2)
-    def run(s: Space):
-        pot = s.sample(POTENTIALS[name], name)
-        return [_pair(s, s.acceleration(i, pot), s.acceleration_decomposed(i, pot))
-                for i in (1, 2, 3)]
-    return run
+def _acceleration_rows(name: str, s: Space):
+    """-i[V_i, U] against its decomposition for the potential ``name``."""
+    pot = s.sample(POTENTIALS[name], name)
+    return [(s.acceleration(i, pot), s.acceleration_decomposed(i, pot))
+            for i in (1, 2, 3)]
 
 
 @_state_check(1, "constant potential gives zero acceleration (exactly)")
@@ -520,12 +473,11 @@ def _run_acc_constant(s: Space):
     return [_vanishes(s, s.acceleration(i, pot), 1.0 / s.lam) for i in (1, 2, 3)]
 
 
-@_state_check(2, "-i[V_i, H0 + U] = -i[V_i, U]", floor=2)
-def _run_acc_full_h(s: Space):
+def _full_hamiltonian_rows(s: Space):
+    """-i[V_i, H0 + U] against -i[V_i, U] for the Coulomb U."""
     pot = s.sample(POTENTIALS["coulomb"], "coulomb")
-    h, u = s.hamiltonian(pot), s.radial_multiplication(pot)
-    return [_pair(s, -1.0j * s.velocity(i).commutator(h),
-                  -1.0j * s.velocity(i).commutator(u)) for i in (1, 2, 3)]
+    return [(-1.0j * s.velocity(i).commutator(s.hamiltonian(pot)), s.acceleration(i, pot))
+            for i in (1, 2, 3)]
 
 
 # ---- hermiticity ----------------------------------------------------------------
@@ -842,9 +794,11 @@ CHECKS: List[CheckSpec] = [
               _run_velocity_on_coordinates),
     CheckSpec("velocity.on_radial", "V_j f(r) = -i (x_j/r) f'_lam(r)",
               _run_velocity_on_radial),
-    CheckSpec("velocity.forms",
-              "definition and normal forms of V_j, V_4 agree",
-              _run_velocity_forms),
+    _equation_check(
+        "velocity.forms", "definition and normal forms of V_j, V_4 agree", 1,
+        lambda s: [(s.velocity(j), form) for j in (1, 2, 3) for form in (
+            s.velocity_w_form(j), -1.0j * s.position(j).commutator(s.free_hamiltonian()))]
+        + [(s.velocity4(), s.velocity4_cross_form())]),
     CheckSpec("velocity.h0_forms",
               "H0 double-commutator equals charge-zero bilinear form",
               _run_h0_forms),
@@ -858,23 +812,32 @@ CHECKS: List[CheckSpec] = [
     CheckSpec("velocity.comm_limit",
               "V_j f(r) converges to -i (x_j/r) f'(r) as lam -> 0",
               _run_comm_limit, tol=_BELOW_ONE, per_space=False),
-    CheckSpec("quadratic.V2H", "V^2 = 2 H0 - lam^2 H0^2", _run_v2h),
-    CheckSpec("quadratic.VVH", "(1/lam - lam H0)^2 = 1/lam^2 - V^2", _run_vvh),
-    CheckSpec("quadratic.C2", "C_2 = V_a V_a = 1/lam^2", _run_casimir2),
+    _equation_check(
+        "quadratic.V2H", "V^2 = 2 H0 - lam^2 H0^2", 2,
+        lambda s: [(s.velocity_squared(), 2.0 * s.free_hamiltonian()
+                    - s.lam**2 * (s.free_hamiltonian() @ s.free_hamiltonian()))]),
+    _equation_check(
+        "quadratic.VVH", "(1/lam - lam H0)^2 = 1/lam^2 - V^2", 2,
+        lambda s: [(s.velocity4() @ s.velocity4(), (1.0 / s.lam**2)
+                    * SuperOp.identity(s.basis) - s.velocity_squared())]),
+    _equation_check(
+        "quadratic.C2", "C_2 = V_a V_a = 1/lam^2", 2,
+        lambda s: [(s.casimir2(), (1.0 / s.lam**2) * SuperOp.identity(s.basis))]),
     CheckSpec("quadratic.pauli_lubanski",
               "Lambda_a = 0 (a = 1..4), hence C_4 = 0", _run_pauli_lubanski),
     _commutator_check(
         "quadratic.VH0", "[V_i, H0] = 0", 2,
         lambda s: [(s.velocity(i), s.free_hamiltonian(), ()) for i in (1, 2, 3)]),
-    *(CheckSpec(f"acceleration.{name}",
-                f"-i[V_i, U] equals its decomposition, U = {formula}",
-                _run_acceleration(name))
+    *(_equation_check(f"acceleration.{name}",
+                      f"-i[V_i, U] equals its decomposition, U = {formula}", 2,
+                      functools.partial(_acceleration_rows, name), floor=2)
       for name, formula in (("r2", "r^2"), ("coulomb", "-1/r"), ("exp", "exp(-r)"))),
     CheckSpec("acceleration.constant",
               "constant potential gives zero acceleration", _run_acc_constant,
               tol=1e-12),
-    CheckSpec("acceleration.full_hamiltonian",
-              "-i[V_i, H] = -i[V_i, U] for H = H0 + U", _run_acc_full_h),
+    _equation_check("acceleration.full_hamiltonian",
+                    "-i[V_i, H] = -i[V_i, U] for H = H0 + U", 2,
+                    _full_hamiltonian_rows, floor=2),
     CheckSpec("hermiticity.inner_product", "weighted inner product axioms",
               _run_ip_axioms, tol=1e-12),
     CheckSpec("hermiticity.operators",

@@ -251,8 +251,9 @@ class RadialFunction:
                       name: str = "") -> "RadialFunction":
         validate_lambda(lam)  # before fn sees the grid
         r = radial_grid(lam, np.arange(n_max + 1))
-        return cls(values=np.asarray([fn(ri) for ri in r], dtype=float),
-                   lam=lam, name=name or getattr(fn, "__name__", ""))
+        with np.errstate(over="ignore"):  # __post_init__ names the shell
+            values = np.asarray([fn(ri) for ri in r], dtype=float)
+        return cls(values=values, lam=lam, name=name or getattr(fn, "__name__", ""))
 
     @property
     def n_max(self) -> int:
@@ -577,8 +578,13 @@ class Space:
         return _named(op, f"Lam{a}", 1)
 
     @_memoized
+    def velocity_squared(self) -> SuperOp:
+        """V^2 = V_j V_j, summed in order j = 1, 2, 3."""
+        return _named(_sum(self.velocity(j) @ self.velocity(j) for j in (1, 2, 3)),
+                      "V2", 2)
+
+    @_memoized
     def casimir2(self) -> SuperOp:
-        """C2 = V_a V_a over a = 1..4; equals 1/lam^2 on kappa = 0 states."""
-        op = _sum(self.velocity_so4(a) @ self.velocity_so4(a)
-                  for a in (1, 2, 3, 4))
-        return _named(op, "C2", 2)
+        """C2 = V_a V_a = V^2 + V_4 V_4; equals 1/lam^2 on kappa = 0 states."""
+        return _named(self.velocity_squared() + self.velocity4() @ self.velocity4(),
+                      "C2", 2)

@@ -296,8 +296,7 @@ def v2_consistency(space: Space, j: int) -> List[dict]:
     """
     sector = build_sector(space, j, j, boundary="dirichlet")
     hmat, _grid = radial_hamiltonian(space, j, boundary="dirichlet")
-    v = [space.velocity(k) for k in (1, 2, 3)]
-    v2 = reduce_superop(space, sector, v[0] @ v[0] + v[1] @ v[1] + v[2] @ v[2])
+    v2 = reduce_superop(space, sector, space.velocity_squared())
     evals, evecs = eigen_solve(hmat)
     lam = space.lam
     out = []

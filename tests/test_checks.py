@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzylab import checks
 from fuzzylab.checks import CheckConfig, run_suite
 from fuzzylab.cli import main
-from fuzzylab.operators import Space
+from fuzzylab.operators import Space, SuperOp
 from fuzzylab.report import report_from_json, worst
 
 
@@ -359,3 +359,37 @@ def test_a_nan_part_of_a_runner_fails_its_record(monkeypatch):
     assert record.status == "fail" and not report.passed
     assert [r["residual"] for r in _strict_json(report.to_json())["records"]
             if r["check_id"] == "spectra.m_independence"] == [None]
+
+
+_EQUATION_CHECKS = ("velocity.forms", "quadratic.V2H", "quadratic.VVH",
+                    "quadratic.C2", "acceleration.r2", "acceleration.coulomb",
+                    "acceleration.exp", "acceleration.full_hamiltonian")
+
+
+@pytest.mark.parametrize("check_id", _EQUATION_CHECKS)
+def test_every_equation_check_is_exact(check_id):
+    residual, detail = _runner(check_id)(Space(6, 0.5), CheckConfig(n_states=2))
+    assert residual < 1e-12
+    assert detail.endswith(" rows")
+
+
+@pytest.mark.parametrize("rows", [
+    # V^2 = 2 H0 - lam^2 H0^2 with the sign of its lam^2 term flipped
+    lambda s: [(s.velocity_squared(), 2.0 * s.free_hamiltonian()
+                + s.lam**2 * (s.free_hamiltonian() @ s.free_hamiltonian()))],
+    # (1/lam - lam H0)^2 = 1/lam^2 - V^2 without its V^2
+    lambda s: [(s.velocity4() @ s.velocity4(),
+                (1.0 / s.lam**2) * SuperOp.identity(s.basis))],
+], ids=["V2H+", "VVH-no-V2"])
+def test_perturbed_right_side_gives_order_one_residual(rows):
+    spec = checks._equation_check("perturbed", "", 2, rows)
+    wrong, _ = spec.runner(Space(6, 0.5), CheckConfig(n_states=2))
+    assert wrong > 0.1
+
+
+def test_equation_suites_pass_on_a_grid():
+    report = run_suite(CheckConfig(lams=(0.5, 0.3), n_maxes=(6, 9),
+                                   suites=("velocity", "quadratic",
+                                           "acceleration")))
+    assert report.records and report.passed
+    assert {r.status for r in report.records} == {"pass"}

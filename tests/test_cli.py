@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -536,3 +539,15 @@ def test_spectrum_that_fails_at_a_later_point_writes_nothing(
     assert captured.err.splitlines()[-1].startswith("error:")
     assert main(["spectrum", *argv, "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "converge"])
+def test_overflowing_potential_prints_only_its_error_line(command):
+    src = str(Path(checks.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzylab.cli", command, "--potential", "coulomb",
+         "--q", "1e308"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: coulomb is not finite on shell 0: -inf\n"
