@@ -56,8 +56,8 @@ MUTANTS = [
      "                          allow_nan=True)",
      ["tests/test_cli.py::test_cli_json_report_writes_null_for_errors"]),
     ("commutator coefficients replaced by their moduli", "checks.py",
-     "operator.add, (c * op(psi) for c, op in terms)",
-     "operator.add, (abs(c) * op(psi) for c, op in terms)",
+     "(c * cache.apply(op, psi, (psi,))",
+     "(abs(c) * cache.apply(op, psi, (psi,))",
      ["tests/test_checks.py::test_negated_target_coefficient_gives_order_one_residual"]),
     ("+1 delta for both families", "algebra.py",
      'delta = 1 if g1[0] == "a" else -1',
@@ -71,6 +71,20 @@ MUTANTS = [
      "k = (op,) + key",
      "k = (op.name,) + key",
      ["tests/test_cli.py::test_op_cache_tells_same_named_operators_apart"]),
+    ("Leibniz pair memo ignores B", "operators.py",
+     "self._pair[0] is not A or self._pair[1] is not B",
+     "self._pair[0] is not A",
+     ["tests/test_packed_states.py::test_leibniz_correction_matches_dense_formula",
+      "tests/test_packed_states.py::"
+      "test_leibniz_pair_memo_matches_a_fresh_space_bit_for_bit"]),
+    ("draw memo ignores support_max", "operators.py",
+     "key = (seed, kappa, support_max)",
+     "key = (seed, kappa)",
+     ["tests/test_operators.py::test_hermiticity_under_weighted_inner_product",
+      "tests/test_checks.py::"
+      "test_hermiticity_pairs_two_states_even_when_one_is_asked",
+      "tests/test_packed_states.py::"
+      "test_seeded_draws_are_memoized_per_space_bit_for_bit"]),
     ("Space memo keys a radial function by name", "operators.py",
      "(a.name, a.lam, a.values.tobytes()) if isinstance(a, RadialFunction)",
      "a.name if isinstance(a, RadialFunction)",
@@ -219,6 +233,7 @@ def main() -> int:
             print(f"error: mutant {name!r}: its snippet occurs {count} times "
                   f"in {PACKAGE / path}, not once", file=sys.stderr)
             return 2
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="fuzzylab-mutation-") as tmp:
         tests = sorted({t for m in MUTANTS for t in m[4]})
         if not _passes(_copy_tree(Path(tmp) / "base"), tests):
@@ -235,7 +250,8 @@ def main() -> int:
             survivors += not killed
             print(f"{'killed' if killed else 'survived':8s} {name} "
                   f"({time.perf_counter() - t0:.1f} s)", flush=True)
-    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
 

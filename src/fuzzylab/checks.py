@@ -155,10 +155,13 @@ def _rel_residual(space: Space, diff: NCState, margin: int,
 
 
 class _OpCache:
-    """Memoize superoperator applications within one parameter point.
+    """Memoize superoperator applications within one check at one parameter
+    point: A psi, B psi and every target term of a commutator table.
 
     Keyed on the operator object: two operators may share a name (every
-    ``Space.hamiltonian(pot)`` is "H0+U") and still differ.
+    ``Space.hamiltonian(pot)`` is "H0+U") and still differ.  States are
+    keyed by identity, which is sound because no operation changes a state
+    in place.
     """
 
     def __init__(self):
@@ -184,7 +187,8 @@ def _commutator_residual(space: Space, A: SuperOp, B: SuperOp,
     diff = ab - ba
     scales = [ab, ba]
     if terms:
-        target = functools.reduce(operator.add, (c * op(psi) for c, op in terms))
+        target = functools.reduce(operator.add, (c * cache.apply(op, psi, (psi,))
+                                                 for c, op in terms))
         diff = diff - target
         scales.append(target)
     return [_rel_residual(space, diff, margin, scales, psi_norm)]
@@ -432,11 +436,13 @@ def _run_correction_sum(s: Space):
     def case(psi, norm, margin):
         h0psi = h0(psi)
         scale = max(s.ip.norm(h0psi), norm)
-        return (_rel_residual(s, 0.5 * (s.leibniz_correction(i, xj, psi)
-                                        + s.leibniz_correction(i, psi, xj))
-                              - (1.0j * s.lam**2 if i == j else 0.0) * h0psi,
-                              margin, scale=scale)
-                for i in (1, 2, 3) for j, xj in enumerate(xs, 1))
+        for j, xj in enumerate(xs, 1):  # K_1..3 of one pair share its images
+            left = [s.leibniz_correction(i, xj, psi) for i in (1, 2, 3)]
+            right = [s.leibniz_correction(i, psi, xj) for i in (1, 2, 3)]
+            for i, k_left, k_right in zip((1, 2, 3), left, right):
+                yield _rel_residual(s, 0.5 * (k_left + k_right)
+                                    - (1.0j * s.lam**2 if i == j else 0.0) * h0psi,
+                                    margin, scale=scale)
     return [case]
 
 

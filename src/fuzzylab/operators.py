@@ -330,7 +330,10 @@ class Space:
     Operators built here are immutable and memoized: asking twice for the
     same operator returns the same object, so its compiled maps are built
     once per Space and freed with it.  Applications are pure functions of
-    the input state.
+    the input state.  Seeded states are memoized too: a Space keeps every
+    state it has drawn for its lifetime and returns the same object for the
+    same (seed, kappa, support_max).  No operation changes a state in place,
+    which this memo and the pair memo of ``leibniz_correction`` rely on.
     """
 
     def __init__(self, n_max: int, lam: float):
@@ -346,7 +349,8 @@ class Space:
         self.r_diag = self.ip.r_diag
         self.rinv = sp.diags(1.0 / self.r_diag, format="csr", dtype=complex)
         self.r = radial_matrix(self.basis, lam).matrix
-        self._ops = {}
+        self._ops, self._drawn = {}, {}
+        self._pair = (None, None)  # leibniz_correction's (A, B, images, diffs)
 
     # -- state helpers ----------------------------------------------------
 
@@ -360,7 +364,11 @@ class Space:
                      support_max: Optional[int] = None) -> NCState:
         if support_max is None:
             support_max = self.n_max
-        return random_state(self.basis, seed, kappa, support_max, self.ip)
+        key = (seed, kappa, support_max)
+        if key not in self._drawn:
+            self._drawn[key] = random_state(self.basis, seed, kappa, support_max,
+                                            self.ip)
+        return self._drawn[key]
 
     def interior(self, psi: NCState, margin: int) -> NCState:
         return interior_projection(psi, margin)
@@ -512,13 +520,23 @@ class Space:
         """K_i(A, B) = -(i/2r) sig^i_{ab} ([a+_a, A][a_b, B] - [a_b, A][a+_a, B]).
 
         The defect in the Leibniz rule: V_i(AB) = (V_i A)B + A(V_i B) + K_i(A, B).
+        K_i reuses its last pair: for the same packed A and B objects it keeps
+        the ladder-commutator images of both and each difference of their
+        products, so K_1, K_2 and K_3 of one pair share them.
         """
         A, B = A.packed(), B.packed()
+        if self._pair[0] is not A or self._pair[1] is not B:
+            # ([a, A], [a, B]) for a = a_m and a+_m, m = 1, 2
+            images = {(m, d): (op(A), op(B)) for m in (1, 2) for d in (True, False)
+                      for op in [self._ladder_commutator(m, d)]}
+            self._pair = (A, B, images, {})
+        _, _, images, diffs = self._pair
         s = None
         for (al, be), c in _sigma_pairs(i - 1):
-            up = self._ladder_commutator(al + 1, True)
-            down = self._ladder_commutator(be + 1, False)
-            t = c * (up(A) @ down(B) - down(A) @ up(B))
+            if (al, be) not in diffs:
+                up, down = images[al + 1, True], images[be + 1, False]
+                diffs[al, be] = up[0] @ down[1] - down[0] @ up[1]
+            t = c * diffs[al, be]
             s = t if s is None else s + t
         return -0.5j * self._rinv()(s)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzylab import checks
 from fuzzylab.checks import CheckConfig, run_suite
 from fuzzylab.cli import main
+from fuzzylab.fock import PAULI, random_state
 from fuzzylab.operators import Space, SuperOp
 from fuzzylab.report import report_from_json, worst
 
@@ -393,3 +394,47 @@ def test_equation_suites_pass_on_a_grid():
                                            "acceleration")))
     assert report.records and report.passed
     assert {r.status for r in report.records} == {"pass"}
+
+
+_NUMERIC_SUITES = ("kinematics", "e4", "velocity", "quadratic", "acceleration",
+                   "hermiticity", "diagnostic")
+
+
+def _drawn_afresh(self, seed, kappa=0, support_max=None):
+    """Space.random_state without its memo: a new draw on every call."""
+    support = self.n_max if support_max is None else support_max
+    return random_state(self.basis, seed, kappa, support, self.ip)
+
+
+def _leibniz_per_call(self, i, A, B):
+    """Space.leibniz_correction without its pair memo: every ladder image
+    and product afresh, in the order of the sigma^i entries."""
+    A, B = A.packed(), B.packed()
+    s = None
+    for al in range(2):
+        for be in range(2):
+            c = PAULI[i - 1][al, be]
+            if c != 0:
+                up = self._ladder_commutator(al + 1, True)
+                down = self._ladder_commutator(be + 1, False)
+                t = c * (up(A) @ down(B) - down(A) @ up(B))
+                s = t if s is None else s + t
+    return -0.5j * self._rinv()(s)
+
+
+def test_memoized_numeric_suites_keep_every_record_bit_for_bit(monkeypatch):
+    config = CheckConfig(lams=(0.3,), n_maxes=(10,), n_states=3,
+                         suites=_NUMERIC_SUITES)
+
+    def records():
+        return [(r.check_id, r.params, float(r.residual).hex(), r.status,
+                 r.detail) for r in run_suite(config).records]
+
+    fast = records()
+    monkeypatch.setattr(Space, "random_state", _drawn_afresh)
+    monkeypatch.setattr(Space, "leibniz_correction", _leibniz_per_call)
+    monkeypatch.setattr(checks._OpCache, "apply",
+                        lambda self, op, psi, key: op(psi))
+    reference = records()
+    assert len(fast) > 30
+    assert fast == reference

@@ -150,3 +150,52 @@ def test_matrix_of_packed_state_is_a_read_only_view(space):
     assert copy.flags.writeable
     copy[0, 0] = 5.0
     assert psi.matrix[0, 0] != 5.0
+
+
+def _bits(psi):
+    """Every bit a state holds: its packed vectors, or its CSR arrays."""
+    if psi.parts is not None:
+        return {k: v.tobytes() for k, v in psi.parts.items()}
+    m = psi.matrix
+    return m.format, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()
+
+
+def test_seeded_draws_are_memoized_per_space_bit_for_bit():
+    space, (s, k, m) = Space(8, 0.3), (5, 1, 6)
+    psi = space.random_state(s, k, m)
+    assert space.random_state(s, k, m) is psi
+    # the support_max default is filled in before the memo is asked
+    assert space.random_state(s) is space.random_state(s, 0, 8)
+    for args in [(s + 1, k, m), (s, 0, m), (s, k, m + 1)]:
+        other = space.random_state(*args)
+        assert other is not psi
+        assert _bits(other) == _bits(random_state(space.basis, *args, space.ip))
+    assert _bits(psi) == _bits(random_state(space.basis, s, k, m, space.ip))
+
+
+def test_leibniz_pair_memo_matches_a_fresh_space_bit_for_bit():
+    space = Space(8, 0.3)
+    A, B, B2 = (space.random_state(seed, 0, 6) for seed in (1, 2, 3))
+    x1 = space.state(space.x[0])
+    pairs = [(A, B), (B, A), (A, B2), (A, B), (B2, B), (x1, A)]
+    calls = [(i, X, Y) for X, Y in pairs for i in (1, 2, 3)] \
+        + [(i, X, Y) for i in (1, 2, 3) for X, Y in pairs]
+    for i, X, Y in calls:
+        got = space.leibniz_correction(i, X, Y)
+        assert _bits(got) == _bits(Space(8, 0.3).leibniz_correction(i, X, Y))
+
+
+def test_no_operation_changes_an_operand(space):
+    packed = [space.random_state(1, 0, 8),
+              space.random_state(2, 1, 9) + space.random_state(3, 0, 6)]
+    sparse = [space.state(space.x[0]), space.state(sp.csr_matrix(packed[0].dense()))]
+    states = packed + sparse
+    before = [_bits(psi) for psi in states]
+    v1 = space.velocity(1)
+    for phi in states:
+        for psi in states:
+            _ = (phi + psi, phi - psi, phi @ psi, space.ip(phi, psi),
+                 space.leibniz_correction(2, phi, psi))
+        _ = (2.0 * phi, phi * 0.5j, phi.packed(), interior_projection(phi, 2),
+             v1(phi), space.ip.norm(phi))
+    assert [_bits(psi) for psi in states] == before
