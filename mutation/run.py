@@ -39,6 +39,9 @@ ONE_PASS = ("tests/test_algebra.py::"
 #: the test that pins the coefficient reader to ``cancel(together(c))``
 ROUTING = "tests/test_algebra.py::test_canonical_coeff_is_cancel_of_together"
 
+#: the test that runs four suites at lambda = 1e-6, 0.1 and 1e3
+UNIT_FREE = "tests/test_checks.py::test_verdicts_do_not_depend_on_the_unit_of_length"
+
 #: (name, file under src/fuzzylab, old snippet, new snippet, tests)
 MUTANTS = [
     ("skip recorded as a pass", "checks.py",
@@ -205,6 +208,27 @@ MUTANTS = [
      "-1.0j * s.position(j).commutator(s.free_hamiltonian())",
      "1.0j * s.position(j).commutator(s.free_hamiltonian())",
      ["tests/test_cli.py::test_cli_check_fixed_margin_reaches_commutator_records"]),
+    ("coordinate algebra factor i lam", "checks.py",
+     "2.0j * s.lam",
+     "1.0j * s.lam",
+     ["tests/test_cli.py::test_cli_check_exit_codes"]),
+    ("ladder commutator without its delta", "checks.py",
+     "one if al == be else ()",
+     "()",
+     ["tests/test_cli.py::test_cli_check_exit_codes",
+      "tests/test_options.py::test_check_runs_fixed_margin_equal_to_the_cutoff"]),
+    ("acceleration target -i A_i", "checks.py",
+     "((1.0j, s.acceleration_decomposed(i, pot)),)",
+     "((-1.0j, s.acceleration_decomposed(i, pot)),)",
+     ["tests/test_checks.py::test_every_equation_check_is_exact[acceleration.r2]"]),
+    ("cross-validation deviation not relative", "identities.py",
+     "/ max(space.ip.norm(v) for v in (lhs, rhs, psi))",
+     "/ 1.0",
+     [UNIT_FREE]),
+    ("kappa = 1 diagnostic scaled by |psi|", "checks.py",
+     "margin, [v12, v21])",
+     "margin, [psi])",
+     [UNIT_FREE]),
 ]
 
 

@@ -21,7 +21,7 @@ the weighted norm 4 pi lam^2 Tr[psi+ r psi].  The package provides
 
 __version__ = "0.1.0"
 
-from .fock import (FockBasis, FockMatrix, NCState, WeightedInnerProduct,
+from .fock import (FockBasis, NCState, WeightedInnerProduct,
                    coordinate_matrix, enumerate_basis, interior_projection,
                    ladder_matrix, radial_matrix, random_state,
                    state_from_text, state_to_text)
@@ -36,7 +36,7 @@ from .report import CheckRecord, VerificationReport, emit_report
 
 __all__ = [
     "__version__",
-    "FockBasis", "FockMatrix", "NCState", "WeightedInnerProduct",
+    "FockBasis", "NCState", "WeightedInnerProduct",
     "enumerate_basis", "ladder_matrix", "coordinate_matrix", "radial_matrix",
     "random_state", "interior_projection", "state_to_text", "state_from_text",
     "RadialFunction", "Space", "SuperOp",

@@ -1,14 +1,14 @@
 """The verification suites: every identity of the theory as a runnable check.
 
-Each check applies operators to random interior charge-zero states (or works
-at the matrix level for the coordinate algebra), reports a relative residual,
-and passes when the residual is below threshold.  A residual is the worst of
-its parts (``report.worst``): a NaN part makes it NaN (null in JSON), which
-fails the record.  Margins follow the
-bandwidth rule: a composition of maps with shell bandwidths b1, b2, ... is
-exact on states kept sum(b) shells away from the cutoff.  Operator identities
-are tables of rows: (A, B, terms) for [A, B] = sum(c * op), and (A, B) for
-A psi = B psi, relative to the largest of |A psi|, |B psi| and |psi|.
+Each check applies operators to random interior charge-zero states, reports
+a relative residual, and passes when the residual is below threshold.  A
+residual is the worst of its parts (``report.worst``): a NaN part makes it NaN
+(null in JSON), which fails the record.  Margins follow the bandwidth rule: a
+composition of maps with shell bandwidths b1, b2, ... is exact on states kept
+sum(b) shells away from the cutoff.  Operator identities are tables of rows:
+(A, B, terms) for [A, B] = sum(c * op), and (A, B) for A psi = B psi, each
+relative to the largest of its compared terms and |psi|; the coordinate and
+ladder matrices enter them as left multiplications.
 
 Suites: kinematics, e4, velocity, quadratic, acceleration, hermiticity,
 spectra, symbolic, plus the expected-nonzero diagnostics.
@@ -219,16 +219,17 @@ def _state_check(auto_margin: int,
     return wrap
 
 
-def _commutator_runner(auto_margin: int, rows: Callable[[Space], list]):
-    """Runner for a table of commutator rows ``(A, B, terms)``: the worst
-    residual of [A, B] = sum(c * op) over every row and random state."""
+def _commutator_runner(auto_margin: int, rows: Callable[[Space], list],
+                       floor: int = 0):
+    """Runner for a table of commutator rows ``(A, B, terms)``: the worst residual
+    of [A, B] = sum(c * op) over every row and state, at margin >= ``floor``."""
 
     def cases(space: Space):
         cache = _OpCache()
         return [functools.partial(_commutator_residual, space, A, B, terms, cache)
                 for A, B, terms in rows(space)]
 
-    return _state_check(auto_margin)(cases)
+    return _state_check(auto_margin, floor=floor)(cases)
 
 
 def _pair(space: Space, op_a: SuperOp, op_b: SuperOp):
@@ -263,63 +264,19 @@ class CheckSpec:
         return self.check_id.split(".")[0]
 
 
-def _commutator_check(check_id: str, statement: str, auto_margin: int,
-                      rows: Callable[[Space], list]) -> CheckSpec:
+def _commutator_check(check_id: str, statement: str, auto_margin: int, rows: Callable,
+                      floor: int = 0, tol: Optional[float] = None) -> CheckSpec:
     """One commutator check: ``rows(space)`` lists its (A, B, terms)."""
-    return CheckSpec(check_id, statement, _commutator_runner(auto_margin, rows))
+    return CheckSpec(check_id, statement,
+                     _commutator_runner(auto_margin, rows, floor), tol=tol)
 
 
-def _equation_check(check_id: str, statement: str, auto_margin: int,
-                    rows: Callable[[Space], list], floor: int = 0) -> CheckSpec:
+def _equation_check(check_id: str, statement: str, auto_margin: int, rows: Callable,
+                    tol: Optional[float] = None) -> CheckSpec:
     """One operator-equation check: ``rows(space)`` lists its (A, B), each
-    meaning A psi = B psi, at a margin of at least ``floor``."""
-    return CheckSpec(check_id, statement, _state_check(auto_margin, floor=floor)(
-        lambda s: [_pair(s, A, B) for A, B in rows(s)]))
-
-
-# ---- kinematics (matrix level + L/X families) -------------------------------
-
-
-def _run_coordinate_algebra(space: Space, config: CheckConfig):
-    lam, x = space.lam, space.x
-
-    def residual(i, j):
-        acc = x[i] @ x[j] - x[j] @ x[i]
-        for k in range(3):
-            if EPS3[i, j, k]:
-                acc = acc - 2.0j * lam * EPS3[i, j, k] * x[k]
-        return abs(acc).max()
-    return worst(residual(i, j) for i in range(3) for j in range(3)), \
-        "max over all index pairs, full truncated space"
-
-
-def _run_x_square(space: Space, config: CheckConfig):
-    acc = functools.reduce(operator.add, (xi @ xi for xi in space.x))
-    rsq = space.r @ space.r
-    eye = space.identity_state().matrix
-    return abs(acc - rsq + space.lam**2 * eye).max(), ""
-
-
-def _run_ladder_algebra(space: Space, config: CheckConfig):
-    proj = space.shell_diagonal(np.arange(space.n_max + 1) <= space.n_max - 1)
-    eye = space.identity_state().matrix
-    a, ad = space.a, space.ad
-
-    def residuals(al, be):
-        comm = a[al] @ ad[be] - ad[be] @ a[al]
-        delta = eye if al == be else 0.0 * eye
-        return [abs(proj @ (comm - delta) @ proj).max(),
-                abs(a[al] @ a[be] - a[be] @ a[al]).max(),
-                abs(ad[al] @ ad[be] - ad[be] @ ad[al]).max()]
-    return worst(r for al in range(2) for be in range(2)
-                 for r in residuals(al, be)), \
-        "commutator relations, interior shells for [a, a+]"
-
-
-def _run_radial_scalar(space: Space, config: CheckConfig):
-    return worst([_lab_r(space, config)[0],
-                  *(abs(xi @ space.r - space.r @ xi).max() for xi in space.x)]), \
-        "[x_j, r] = 0 and [L_ab, r] = 0"
+    meaning A psi = B psi."""
+    return CheckSpec(check_id, statement, _state_check(auto_margin)(
+        lambda s: [_pair(s, A, B) for A, B in rows(s)]), tol=tol)
 
 
 # ---- commutator rows: (A, B, terms) with [A, B] = sum(c * op for c, op in terms)
@@ -366,8 +323,13 @@ def _e4_lv_rows(s: Space):
             for a, b in _PAIRS4 for c in (1, 2, 3, 4)]
 
 
-_lab_r = _commutator_runner(0, lambda s: [(s.so4_generator(a, b), s.radial(), ())
-                                          for a, b in _PAIRS4])
+def _ladder_rows(s: Space):
+    """[a_al, a+_be] = delta_al,be, [a_1, a_2] = [a+_1, a+_2] = 0, for the
+    ladder matrices acting from the left."""
+    one = ((1.0, SuperOp.identity(s.basis)),)
+    return [(s.ladder("L", al, False), s.ladder("L", be, True),
+             one if al == be else ()) for al in (1, 2) for be in (1, 2)] \
+        + [(s.ladder("L", 1, d), s.ladder("L", 2, d), ()) for d in (False, True)]
 
 
 # ---- velocity action checks ---------------------------------------------------
@@ -467,10 +429,10 @@ def _run_pauli_lubanski(s: Space):
 
 
 def _acceleration_rows(name: str, s: Space):
-    """-i[V_i, U] against its decomposition for the potential ``name``."""
+    """[V_i, U] = i A_i, A_i the decomposition of -i[V_i, U], for U ``name``."""
     pot = s.sample(POTENTIALS[name], name)
-    return [(s.acceleration(i, pot), s.acceleration_decomposed(i, pot))
-            for i in (1, 2, 3)]
+    return [(s.velocity(i), s.radial_multiplication(pot),
+             ((1.0j, s.acceleration_decomposed(i, pot)),)) for i in (1, 2, 3)]
 
 
 @_state_check(1, "constant potential gives zero acceleration (exactly)")
@@ -480,9 +442,9 @@ def _run_acc_constant(s: Space):
 
 
 def _full_hamiltonian_rows(s: Space):
-    """-i[V_i, H0 + U] against -i[V_i, U] for the Coulomb U."""
+    """[V_i, H0 + U] = i (-i[V_i, U]) for the Coulomb U."""
     pot = s.sample(POTENTIALS["coulomb"], "coulomb")
-    return [(-1.0j * s.velocity(i).commutator(s.hamiltonian(pot)), s.acceleration(i, pot))
+    return [(s.velocity(i), s.hamiltonian(pot), ((1.0j, s.acceleration(i, pot)),))
             for i in (1, 2, 3)]
 
 
@@ -735,9 +697,9 @@ def _run_kappa1_diag(space: Space, config: CheckConfig):
     margin = 2
     support = min(max(2, space.n_max - margin), 5)
     psi = space.random_state(config.seed, kappa=1, support_max=support)
-    v1, v2 = space.velocity(1), space.velocity(2)
-    comm = v1(v2(psi)) - v2(v1(psi))
-    return _rel_residual(space, comm, margin, [psi]), \
+    v12, v21 = space.velocity(1)(space.velocity(2)(psi)), \
+        space.velocity(2)(space.velocity(1)(psi))
+    return _rel_residual(space, v12 - v21, margin, [v12, v21]), \
         "[V_1, V_2] psi on a kappa = 1 state (expected nonzero)"
 
 
@@ -745,16 +707,24 @@ def _run_kappa1_diag(space: Space, config: CheckConfig):
 
 
 CHECKS: List[CheckSpec] = [
-    CheckSpec("kinematics.coordinates",
-              "[x_i, x_j] = 2 i lam eps_ijk x_k (matrix level)",
-              _run_coordinate_algebra, tol=1e-12),
-    CheckSpec("kinematics.x_square", "x^2 = r^2 - lam^2 (matrix level)",
-              _run_x_square, tol=1e-12),
-    CheckSpec("kinematics.ladder",
-              "[a_a, a+_b] = delta_ab (interior), [a, a] = [a+, a+] = 0",
-              _run_ladder_algebra, tol=1e-12),
-    CheckSpec("kinematics.radial_scalar", "[x_j, r] = 0 and [L_ab, r] = 0",
-              _run_radial_scalar),
+    _commutator_check(
+        "kinematics.coordinates", "[x_i, x_j] = 2 i lam eps_ijk x_k", 0,
+        lambda s: _eps_rows(s.position_left, s.position_left, s.position_left,
+                            2.0j * s.lam), tol=1e-12),
+    _equation_check(
+        "kinematics.x_square", "x^2 = r^2 - lam^2", 0,
+        lambda s: [(functools.reduce(operator.add, [s.position_left(j) @ s.position_left(j)
+                                                    for j in (1, 2, 3)]),
+                    s.radial() @ s.radial() - s.lam**2 * SuperOp.identity(s.basis))],
+        tol=1e-12),
+    _commutator_check(
+        "kinematics.ladder",
+        "[a_a, a+_b] = delta_ab (interior), [a, a] = [a+, a+] = 0", 1,
+        _ladder_rows, floor=1, tol=1e-12),
+    _commutator_check(
+        "kinematics.radial_scalar", "[x_j, r] = 0 and [L_ab, r] = 0", 0,
+        lambda s: [(op, s.radial(), ()) for op in [s.position_left(j) for j in (1, 2, 3)]
+                   + [s.so4_generator(a, b) for a, b in _PAIRS4]]),
     _commutator_check(
         "kinematics.LL", "[L_i, L_j] = i eps_ijk L_k", 0,
         lambda s: _eps_rows(s.angular_momentum, s.angular_momentum,
@@ -834,16 +804,16 @@ CHECKS: List[CheckSpec] = [
     _commutator_check(
         "quadratic.VH0", "[V_i, H0] = 0", 2,
         lambda s: [(s.velocity(i), s.free_hamiltonian(), ()) for i in (1, 2, 3)]),
-    *(_equation_check(f"acceleration.{name}",
-                      f"-i[V_i, U] equals its decomposition, U = {formula}", 2,
-                      functools.partial(_acceleration_rows, name), floor=2)
+    *(_commutator_check(f"acceleration.{name}",
+                        f"-i[V_i, U] equals its decomposition, U = {formula}", 2,
+                        functools.partial(_acceleration_rows, name), floor=2)
       for name, formula in (("r2", "r^2"), ("coulomb", "-1/r"), ("exp", "exp(-r)"))),
     CheckSpec("acceleration.constant",
               "constant potential gives zero acceleration", _run_acc_constant,
               tol=1e-12),
-    _equation_check("acceleration.full_hamiltonian",
-                    "-i[V_i, H] = -i[V_i, U] for H = H0 + U", 2,
-                    _full_hamiltonian_rows, floor=2),
+    _commutator_check("acceleration.full_hamiltonian",
+                      "-i[V_i, H] = -i[V_i, U] for H = H0 + U", 2,
+                      _full_hamiltonian_rows, floor=2),
     CheckSpec("hermiticity.inner_product", "weighted inner product axioms",
               _run_ip_axioms, tol=1e-12),
     CheckSpec("hermiticity.operators",

@@ -33,7 +33,7 @@ from . import __version__
 from .checks import (OPTIONS, CheckConfig, parse_config_text, potential_fn,
                      run_suite)
 from .operators import Space
-from .report import FORMATS, emit_report
+from .report import CSV_COLUMNS, FORMATS, emit_report
 from . import spectra as spc
 
 
@@ -73,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check", help="run verification suites",
-        epilog="CSV columns: check_id, suite, kind, statement, params "
-               "(JSON), residual, threshold, passed, status, wall_time_ms, "
-               "detail")
+        epilog=f"CSV columns: {', '.join(CSV_COLUMNS)} (params as JSON)")
     for opt in OPTIONS:
         p_check.add_argument(opt.flag, dest=opt.field, help=opt.help)
     p_check.add_argument("--config", type=str, default=None,

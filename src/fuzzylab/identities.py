@@ -390,7 +390,8 @@ def cross_validate(expr: AlgebraExpr, space, reference=None,
 
     Applies both maps to four random charge-zero states whose support stops
     the summed bandwidth of both maps short of the cutoff, and returns the
-    largest weighted-norm deviation relative to the state norm scale.  With
+    largest interior weighted-norm deviation over the largest of |op psi|,
+    |reference psi| and |psi|, the rule of every check residual.  With
     ``reference=None`` the expression itself is checked against zero.
     """
     op = to_superop(expr, space, potential=potential)
@@ -400,6 +401,7 @@ def cross_validate(expr: AlgebraExpr, space, reference=None,
         psi = space.random_state(seed + s, kappa=0,
                                  support_max=space.n_max - margin)
         lhs = op(psi)
-        diff = lhs - reference(psi) if reference is not None else lhs
-        return space.ip.norm(space.interior(diff, margin))
+        rhs = reference(psi) if reference is not None else 0.0 * lhs
+        return space.ip.norm(space.interior(lhs - rhs, margin)) \
+            / max(space.ip.norm(v) for v in (lhs, rhs, psi))
     return worst(map(deviation, range(4)))

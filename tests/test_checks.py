@@ -438,3 +438,13 @@ def test_memoized_numeric_suites_keep_every_record_bit_for_bit(monkeypatch):
     reference = records()
     assert len(fast) > 30
     assert fast == reference
+
+
+@pytest.mark.parametrize("lam", [1e-6, 0.1, 1e3])
+def test_verdicts_do_not_depend_on_the_unit_of_length(lam):
+    report = run_suite(CheckConfig(
+        lams=(lam,), n_maxes=(6,), n_states=2,
+        suites=("kinematics", "acceleration", "symbolic", "diagnostic")))
+    assert len(report.records) > 15
+    assert {r.check_id: r.status for r in report.records
+            if r.status not in ("pass", "observed")} == {}

@@ -551,3 +551,25 @@ def test_overflowing_potential_prints_only_its_error_line(command):
         timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: coulomb is not finite on shell 0: -inf\n"
+
+
+@pytest.mark.parametrize("lam", ["1e-300", "1e200"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "kinematics", "--nmax", "4", "--lambda"],
+    ["spectrum", "--lambda"],
+    ["converge", "--schedule"],
+])
+def test_lambda_outside_the_band_is_one_error_line_and_exit_2(argv, lam, capsys):
+    arg = f"{lam}:4" if argv[0] == "converge" else lam
+    assert main([*argv, arg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: lambda must lie in [1e-30, 1e30]; got {float(lam)!r}\n"
+
+
+def test_check_help_lists_the_csv_columns_in_order(capsys):
+    from fuzzylab.report import CSV_COLUMNS
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"CSV columns: {', '.join(CSV_COLUMNS)}" in help_text

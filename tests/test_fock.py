@@ -322,3 +322,13 @@ def test_leaf_map_applies_every_leaf_on_both_sides():
             size = basis.packing(kappa).size
             k, mat = basis.leaf_map(sp.csr_matrix((basis.dim, basis.dim)), kappa, left)
             assert k == kappa and mat.shape == (size, size) and mat.nnz == 0
+
+
+def test_basis_matrix_builders_return_sparse_states_that_keep_their_matrix():
+    import scipy.sparse as sp
+    basis = enumerate_basis(4)
+    for state in (ladder_matrix(basis, 1), coordinate_matrix(basis, 2, 0.5),
+                  radial_matrix(basis, 0.5)):
+        assert isinstance(state, NCState) and state.parts is None
+        assert sp.isspmatrix_csr(state.matrix)
+        assert NCState(basis, state.matrix).matrix is state.matrix
